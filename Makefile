@@ -41,7 +41,7 @@ lint:
 alloc-report:
 	$(GO) run ./cmd/dimelint -alloc-report ./...
 
-# Full verification gate: build, vet, dimelint, race tests, fuzz smoke.
+# Full verification gate: build, vet, gofmt, dimelint, race tests, fuzz smoke.
 # Override the fuzz budget with FUZZTIME=30s etc. Add CHECK_BENCH=1 to also
 # refresh the BENCH_core.json performance snapshot.
 check:

@@ -291,12 +291,21 @@ func TestFlightExportCLI(t *testing.T) {
 			t.Errorf("flight trace missing phase %s", phase)
 		}
 	}
-	// -flight-resources attributes heap allocations; compiling 33 records
-	// allocates, so the record-compile span must show a nonzero delta.
-	for _, ev := range tr.Events {
-		if ev.Name == obs.PhaseRecordCompile && ev.AllocBytes == 0 {
-			t.Errorf("record-compile span has no allocation attribution: %+v", ev)
-		}
+	// -flight-resources attributes heap allocations to every span, root and
+	// phases alike. The counters come from runtime/metrics, which counts a
+	// small allocation when its P refills a cached span rather than when it
+	// happens, so one short phase (compiling 33 records) can read zero; the
+	// phases together allocate far more than a cached span holds.
+	if root := tr.Events[0]; root.AllocBytes == 0 || root.AllocObjects == 0 {
+		t.Errorf("dime+ root span has no allocation attribution: %+v", root)
+	}
+	var phaseBytes, phaseObjects uint64
+	for _, ev := range tr.Events[1:] {
+		phaseBytes += ev.AllocBytes
+		phaseObjects += ev.AllocObjects
+	}
+	if phaseBytes == 0 || phaseObjects == 0 {
+		t.Errorf("no phase span has allocation attribution: %+v", tr.Events[1:])
 	}
 }
 

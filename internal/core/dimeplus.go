@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"dime/internal/entity"
@@ -63,53 +64,11 @@ func DIMEPlus(g *entity.Group, opts Options) (*Result, error) {
 	if sortLimit <= 0 {
 		sortLimit = 1 << 15
 	}
-	var cands []posCand
-	sorting := !opts.DisableBenefitOrder
 	// Candidate generation: streaming verification (no benefit sort, or the
 	// sort limit overflowed) interleaves here; its verified counters still
 	// land on the positive-verify span below.
 	cg := run.StartSpan(obs.PhaseCandidateGen)
-	for ri := range indexes {
-		ix := indexes[ri]
-		rule := opts.Rules.Positive[ri]
-		ix.ForEach(func(c signature.Candidate) {
-			res.Stats.PositivePairsConsidered++
-			perRuleCands[ri]++
-			if !sorting {
-				pver.add(posCand{i: int32(c.I), j: int32(c.J), rule: int32(ri)})
-				return
-			}
-			avg := float64(ix.SigCount(c.I)+ix.SigCount(c.J)) / 2
-			if avg < 1 {
-				avg = 1
-			}
-			prob := float64(c.Shared) / avg
-			if prob <= 0 {
-				prob = 1e-6 // wildcard-only candidates still need a rank
-			}
-			cost := rule.Cost(recs[c.I], recs[c.J])
-			if cost < 1 {
-				cost = 1
-			}
-			cands = append(cands, posCand{
-				i: int32(c.I), j: int32(c.J), rule: int32(ri), benefit: prob / cost,
-			})
-			if len(cands) > sortLimit {
-				// Too many to sort profitably: flush what we have in
-				// arrival order and fall back to streaming.
-				sorting = false
-				for _, pc := range cands {
-					pver.add(pc)
-				}
-				cands = nil
-			}
-		})
-	}
-	if !sorting {
-		// Streaming verification belongs to candidate generation; drain the
-		// verifier's last partial chunk before the span closes.
-		pver.flush()
-	}
+	cands, sorting := pver.collect(indexes, sortLimit, perRuleCands)
 	cg.Count("candidates", res.Stats.PositivePairsConsidered)
 	for ri, rule := range opts.Rules.Positive {
 		cg.Count("candidates/"+rule.Name, perRuleCands[ri])
@@ -152,19 +111,82 @@ func DIMEPlus(g *entity.Group, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// negCand is one pivot record awaiting verification against a probed entity,
-// ranked by benefit 1/(C·P).
-type negCand struct {
-	p       int32
-	benefit float32
+// collect generates the candidates of every positive-rule index, counting
+// them per rule. With benefit ordering it ranks them into a buffer allocated
+// once, sized by the indexes' PairBound and capped at sortLimit+1, and
+// returns them for the caller to sort and verify. Without benefit ordering,
+// or once more than sortLimit candidates arrive, it verifies them in arrival
+// order as they stream and returns sorting == false.
+func (v *posVerifier) collect(indexes []*signature.PosIndex, sortLimit int, perRuleCands []int64) (cands []posCand, sorting bool) {
+	sorting = !v.opts.DisableBenefitOrder
+	if sorting {
+		bound := 0
+		for _, ix := range indexes {
+			bound += ix.PairBound()
+		}
+		cands = make([]posCand, 0, min(bound, sortLimit+1))
+	}
+	for ri, ix := range indexes {
+		rule := v.opts.Rules.Positive[ri]
+		ix.ForEach(func(c signature.Candidate) {
+			v.stats.PositivePairsConsidered++
+			perRuleCands[ri]++
+			if !sorting {
+				v.add(posCand{i: int32(c.I), j: int32(c.J), rule: int32(ri)})
+				return
+			}
+			avg := float64(ix.SigCount(c.I)+ix.SigCount(c.J)) / 2
+			if avg < 1 {
+				avg = 1
+			}
+			prob := float64(c.Shared) / avg
+			if prob <= 0 {
+				prob = 1e-6 // wildcard-only candidates still need a rank
+			}
+			cost := rule.Cost(v.recs[c.I], v.recs[c.J])
+			if cost < 1 {
+				cost = 1
+			}
+			cands = append(cands, posCand{
+				i: int32(c.I), j: int32(c.J), rule: int32(ri), benefit: prob / cost,
+			})
+			if len(cands) > sortLimit {
+				// Too many to sort profitably: flush what we have in
+				// arrival order and fall back to streaming.
+				sorting = false
+				for _, pc := range cands {
+					v.add(pc)
+				}
+				cands = nil
+			}
+		})
+	}
+	if !sorting {
+		// Streaming verification belongs to candidate generation; drain the
+		// verifier's last partial chunk before the span closes.
+		v.flush()
+	}
+	return cands, sorting
 }
 
+// negKey packs one pivot record awaiting verification against a probed
+// entity into an integer whose ascending order is the verification order:
+// benefit 1/(C·P) descending, then pivot position ascending. Benefits are
+// never negative or NaN (C ≥ 1 and P > 0 for validated rules), and the
+// complemented bits of a non-negative float32 order inversely to its value.
+func negKey(benefit float32, pos int) uint64 {
+	return uint64(^math.Float32bits(benefit))<<32 | uint64(uint32(pos))
+}
+
+// negPos is the pivot position a negKey carries.
+func negPos(k uint64) int { return int(uint32(k)) }
+
 // negScratch bundles the buffers plusMarkPartition reuses across partitions:
-// the signature-probe scratch and the candidate slice. One scratch per
+// the signature-probe scratch and the candidate keys. One scratch per
 // goroutine; the zero value is ready to use.
 type negScratch struct {
 	probe signature.ProbeScratch
-	cands []negCand
+	keys  []uint64
 }
 
 // plusMarkPartition probes each entity of an outside partition against the
@@ -186,53 +208,55 @@ type negScratch struct {
 func plusMarkPartition(stats *Stats, nf *signature.NegFilter, neg rules.Rule,
 	part, pivot []*rules.Record, opts Options, sc *negScratch) (Witness, bool) {
 
-	cands := sc.cands[:0]
 	for _, e := range part {
-		certain := nf.ProbeInto(e, &sc.probe)
-		if certain >= 0 {
-			stats.CertainPairsBySignature++
+		if hit := firstNegHit(stats, nf, neg, e, pivot, opts, sc); hit >= 0 {
 			return Witness{
 				Rule:     neg.Name,
 				EntityID: e.Entity.ID,
-				PivotID:  pivot[certain].Entity.ID,
+				PivotID:  pivot[hit].Entity.ID,
 			}, true
-		}
-		cands = cands[:0]
-		// The probability estimate divides by the number of pivot records
-		// sharing anything with e (the old Probe's len(Shared) map length).
-		nonzero := sc.probe.NonzeroShared()
-		for pi, p := range pivot {
-			shared := sc.probe.SharedCount(pi)
-			prob := (float64(shared) + 0.5) / (float64(nonzero) + 1)
-			cost := neg.Cost(e, p)
-			if cost < 1 {
-				cost = 1
-			}
-			cands = append(cands, negCand{p: int32(pi), benefit: float32(1 / (cost * prob))})
-		}
-		sc.cands = cands // keep capacity growth for the next partition
-		if !opts.DisableBenefitOrder {
-			slices.SortFunc(cands, func(a, b negCand) int {
-				switch {
-				case a.benefit > b.benefit:
-					return -1
-				case a.benefit < b.benefit:
-					return 1
-				default:
-					return int(a.p) - int(b.p)
-				}
-			})
-		}
-		for _, c := range cands {
-			stats.NegativeVerified++
-			if neg.Eval(e, pivot[c.p]) {
-				return Witness{
-					Rule:     neg.Name,
-					EntityID: e.Entity.ID,
-					PivotID:  pivot[c.p].Entity.ID,
-				}, true
-			}
 		}
 	}
 	return Witness{}, false
+}
+
+// firstNegHit returns the position of the first pivot record that satisfies
+// neg against e, or -1: a signature-certain pair if the probe finds one,
+// else the first satisfied pair in verification order. The order is benefit
+// descending, then pivot position ascending, unless DisableBenefitOrder keeps
+// pivot order. Sorting the packed keys needs no comparator. Most probed
+// entities satisfy no pair and verify every candidate (95–98% of those
+// reaching the sort on the lib-batch benchmark), so ordering the candidates
+// lazily for an early exit would not pay.
+func firstNegHit(stats *Stats, nf *signature.NegFilter, neg rules.Rule,
+	e *rules.Record, pivot []*rules.Record, opts Options, sc *negScratch) int {
+
+	if certain := nf.ProbeInto(e, &sc.probe); certain >= 0 {
+		stats.CertainPairsBySignature++
+		return certain
+	}
+	keys := sc.keys[:0]
+	// The probability estimate divides by the number of pivot records
+	// sharing anything with e (the old Probe's len(Shared) map length).
+	nonzero := sc.probe.NonzeroShared()
+	for pi, p := range pivot {
+		shared := sc.probe.SharedCount(pi)
+		prob := (float64(shared) + 0.5) / (float64(nonzero) + 1)
+		cost := neg.Cost(e, p)
+		if cost < 1 {
+			cost = 1
+		}
+		keys = append(keys, negKey(float32(1/(cost*prob)), pi))
+	}
+	sc.keys = keys // keep capacity growth for the next entity
+	if !opts.DisableBenefitOrder {
+		slices.Sort(keys)
+	}
+	for _, k := range keys {
+		stats.NegativeVerified++
+		if neg.Eval(e, pivot[negPos(k)]) {
+			return negPos(k)
+		}
+	}
+	return -1
 }

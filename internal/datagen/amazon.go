@@ -267,7 +267,12 @@ func (c *AmazonCorpus) TrueMapper() func(values []string) *ontology.Node {
 	vocabNode := make(map[string]*ontology.Node)
 	for cat, node := range c.CategoryNode {
 		for _, w := range categoryVocab[cat] {
-			vocabNode[w] = node
+			// A word in several category vocabularies ("notes": Notebook
+			// and Perfume) goes to the smallest label, whatever order the
+			// map iterates in, so every process maps it alike.
+			if prev, claimed := vocabNode[w]; !claimed || node.Label < prev.Label {
+				vocabNode[w] = node
+			}
 		}
 	}
 	themeNode := make(map[string]*ontology.Node)

@@ -122,6 +122,22 @@ func TestAmazonTrueMapper(t *testing.T) {
 	}
 }
 
+// TestAmazonTrueMapperDeterministic pins the mapping of a word that two
+// category vocabularies share: every mapper built over the corpus must send
+// it to the same node, whatever order the category map iterates in.
+func TestAmazonTrueMapperDeterministic(t *testing.T) {
+	c := Amazon(AmazonOptions{ProductsPerCategory: 1, Seed: 1})
+	want := c.TrueMapper()([]string{"notes"})
+	if want == nil || want.Label != "Notebook" {
+		t.Fatalf(`"notes" maps to %v, want Notebook (first of Notebook and Perfume by name)`, want)
+	}
+	for i := 0; i < 20; i++ {
+		if got := c.TrueMapper()([]string{"notes"}); got != want {
+			t.Fatalf(`mapper %d sends "notes" to %v, an earlier one to %v`, i, got, want)
+		}
+	}
+}
+
 func TestDBGenShape(t *testing.T) {
 	g := DBGen(DBGenOptions{NumEntities: 500, ErrorRate: 0.2, Seed: 7})
 	if g.Size() != 500 {

@@ -124,22 +124,22 @@ type blockInfo struct {
 // LockEdge is one lock-acquisition-order edge: To was acquired (directly at
 // Pos, or transitively via a call to Via at Pos) while From was held in N.
 type LockEdge struct {
-	From, To           string
-	FromMode, ToMode   lockMode
-	N                  *Node
-	Pos                token.Pos
-	Via                *Node
+	From, To         string
+	FromMode, ToMode lockMode
+	N                *Node
+	Pos              token.Pos
+	Via              *Node
 }
 
 // selfAcqFinding records a lock acquired while the same lock is already held
 // in one unit (directly, or via a call chain when via is non-nil).
 type selfAcqFinding struct {
-	n          *Node
-	pos        token.Pos
-	key        string
-	heldMode   lockMode
-	againMode  lockMode
-	via        *Node
+	n         *Node
+	pos       token.Pos
+	key       string
+	heldMode  lockMode
+	againMode lockMode
+	via       *Node
 }
 
 // deferLoopFinding records a `defer mu.Unlock()` registered inside a loop:

@@ -164,7 +164,7 @@ func TestFlightExportJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &ex); err != nil {
 		t.Fatal(err)
 	}
-	if ex.Version != 1 || ex.Tool != "dime-flight" || ex.ThresholdNS != (2 * time.Hour).Nanoseconds() ||
+	if ex.Version != 1 || ex.Tool != "dime-flight" || ex.ThresholdNS != (2*time.Hour).Nanoseconds() ||
 		ex.Kept != 0 || ex.Dropped != 1 {
 		t.Errorf("export = %+v", ex)
 	}

@@ -141,7 +141,10 @@ type Record struct {
 	// Index is the entity's position within its group (set by callers that
 	// build record slices; -1 when unknown).
 	Index int
-	// Tokens[i] holds the deduplicated tokens of attribute i.
+	// Tokens[i] holds the tokens of attribute i, duplicate-free by
+	// construction (NewRecord and NewRecords deduplicate in both token
+	// modes). Set predicates rely on it: they scan for common tokens once
+	// and take len(Tokens[i]) as the set size.
 	Tokens [][]string
 	// Joined[i] holds the attribute's values joined by single spaces, the
 	// view character-based similarity uses.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"dime/internal/entity"
 	"dime/internal/ontology"
@@ -100,17 +101,18 @@ type Predicate struct {
 }
 
 // Similarity computes the raw similarity (or distance, for EditDist) of the
-// predicate's attribute between two records.
+// predicate's attribute between two records. Set functions use the sim
+// kernels for duplicate-free inputs, which Record.Tokens is by construction.
 func (p Predicate) Similarity(a, b *Record) float64 {
 	switch p.Fn {
 	case Overlap:
-		return float64(sim.Overlap(a.Tokens[p.Attr], b.Tokens[p.Attr]))
+		return float64(sim.OverlapDistinct(a.Tokens[p.Attr], b.Tokens[p.Attr]))
 	case Jaccard:
-		return sim.Jaccard(a.Tokens[p.Attr], b.Tokens[p.Attr])
+		return sim.JaccardDistinct(a.Tokens[p.Attr], b.Tokens[p.Attr])
 	case Dice:
-		return sim.Dice(a.Tokens[p.Attr], b.Tokens[p.Attr])
+		return sim.DiceDistinct(a.Tokens[p.Attr], b.Tokens[p.Attr])
 	case Cosine:
-		return sim.Cosine(a.Tokens[p.Attr], b.Tokens[p.Attr])
+		return sim.CosineDistinct(a.Tokens[p.Attr], b.Tokens[p.Attr])
 	case EditSim:
 		return sim.EditSimilarity(a.Joined[p.Attr], b.Joined[p.Attr])
 	case EditDist:
@@ -127,10 +129,10 @@ func (p Predicate) Similarity(a, b *Record) float64 {
 
 // Eval reports whether the predicate holds between two records. EditDist
 // with Op GE/LE compares the raw distance; all other functions compare the
-// similarity value. The GE comparison on EditDist predicates uses the banded
-// verifier when possible.
+// similarity value. Both edit functions verify through the banded DP.
 func (p Predicate) Eval(a, b *Record) bool {
-	if p.Fn == EditDist {
+	switch p.Fn {
+	case EditDist:
 		bound := int(p.Threshold)
 		d, within := sim.EditDistanceBounded(a.Joined[p.Attr], b.Joined[p.Attr], bound)
 		if p.Op == LE {
@@ -138,15 +140,43 @@ func (p Predicate) Eval(a, b *Record) bool {
 		}
 		// GE over a distance: "at least θ edits apart".
 		return !within || d >= bound
+	case EditSim:
+		return p.evalEditSim(a.Joined[p.Attr], b.Joined[p.Attr])
 	}
-	s := p.Similarity(a, b)
-	// Epsilon-tolerant comparisons: a similarity that is mathematically equal
-	// to the threshold can round to either side of it, and rule semantics
-	// must not depend on that noise.
+	return p.holds(p.Similarity(a, b))
+}
+
+// holds compares a similarity value against the threshold. The comparisons
+// are epsilon-tolerant: a similarity that is mathematically equal to the
+// threshold can round to either side of it, and rule semantics must not
+// depend on that noise.
+func (p Predicate) holds(s float64) bool {
 	if p.Op == GE {
 		return sim.AtLeast(s, p.Threshold)
 	}
 	return sim.AtMost(s, p.Threshold)
+}
+
+// evalEditSim decides eds(a, b) against θ without the full O(|a|·|b|) DP.
+// With m = max(|a|, |b|) in runes and band = ⌈(1−θ)·m⌉+1, a distance d above
+// the band gives s = 1 − d/m < θ − 1/m, which no epsilon-tolerant GE accepts
+// and every LE does. Inside the band the exact similarity goes through
+// holds, as Similarity's value would.
+func (p Predicate) evalEditSim(a, b string) bool {
+	m := max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
+	bound := m // every distance is at most m: the band is the whole DP
+	if band := math.Ceil((1-p.Threshold)*float64(m)) + 1; band < float64(m) {
+		bound = int(max(band, -1)) // -1 rejects every distance; NaN θ keeps m
+	}
+	d, within := sim.EditDistanceBounded(a, b, bound)
+	if !within {
+		return p.Op == LE
+	}
+	s := 1.0
+	if m > 0 {
+		s = 1 - float64(d)/float64(m)
+	}
+	return p.holds(s)
 }
 
 // Cost estimates the verification cost of evaluating the predicate on a pair

@@ -143,8 +143,8 @@ type ScrollbarJSON struct {
 	// Level is the 0-based scrollbar position served.
 	Level int `json:"level"`
 	// Levels is the total number of levels available.
-	Levels int       `json:"levels"`
-	Rule   string    `json:"rule"`
+	Levels int    `json:"levels"`
+	Rule   string `json:"rule"`
 	// EntityIDs lists the mis-categorized entity IDs at this level.
 	EntityIDs []string `json:"entity_ids"`
 	// PartitionIndexes lists the marked partitions at this level.

@@ -114,6 +114,20 @@ func BuildPositive(ctx *Context, rule rules.Rule, recs []*rules.Record) *PosInde
 	return ix
 }
 
+// PairBound returns an upper bound on the number of candidates ForEach
+// emits: the smallest per-predicate pair estimate, since ForEach enumerates
+// only the pairs of that predicate's inverted lists and wildcards.
+func (ix *PosIndex) PairBound() int {
+	if len(ix.perPred) == 0 || ix.n < 2 {
+		return 0
+	}
+	bound := ix.perPred[0].pairEst
+	for _, pd := range ix.perPred[1:] {
+		bound = min(bound, pd.pairEst)
+	}
+	return bound
+}
+
 // SigCount returns the total signature count of record i across the rule's
 // predicates (used to estimate similarity probability).
 func (ix *PosIndex) SigCount(i int) int { return ix.sigCounts[i] }

@@ -1,5 +1,12 @@
 package sim
 
+import "unicode/utf8"
+
+// asciiMax is the longest input EditDistanceBounded handles on its
+// allocation-free path: when both strings are ASCII and at most this many
+// bytes, the DP indexes bytes and keeps its symbols and rows in stack arrays.
+const asciiMax = 64
+
 // EditDistance returns the Levenshtein distance between a and b, computed
 // over runes with the classic two-row dynamic program in O(|a|·|b|) time and
 // O(min(|a|,|b|)) space. Inputs are compared by their rune decoding, so
@@ -42,13 +49,47 @@ func EditWithin(a, b string, theta int) bool {
 }
 
 // EditDistanceBounded computes the edit distance if it is ≤ bound, returning
-// (distance, true); otherwise it returns (bound+1, false). The band around
-// the diagonal has width 2·bound+1.
+// (distance, true); otherwise it returns (bound+1, false), or (0, false) for
+// a negative bound. The band around the diagonal has width 2·bound+1. Like
+// EditDistance it compares rune decodings; ASCII inputs of up to 64 bytes
+// take a byte-indexed path that does not allocate.
 func EditDistanceBounded(a, b string, bound int) (int, bool) {
 	if bound < 0 {
 		return 0, false
 	}
+	if d, ok, done := editBoundedASCII(a, b, bound); done {
+		return d, ok
+	}
 	ra, rb := []rune(a), []rune(b)
+	return banded(ra, rb, bound, make([]int, 2*(min(len(ra), len(rb))+1)))
+}
+
+// editBoundedASCII is EditDistanceBounded's allocation-free path. done is
+// false, and nothing is computed, unless both inputs are ASCII and at most
+// asciiMax bytes long; for ASCII the bytes are the rune decoding.
+func editBoundedASCII(a, b string, bound int) (d int, ok, done bool) {
+	if len(a) > asciiMax || len(b) > asciiMax || !isASCII(a) || !isASCII(b) {
+		return 0, false, false
+	}
+	var sa, sb [asciiMax]byte
+	var rows [2 * (asciiMax + 1)]int
+	d, ok = banded(sa[:copy(sa[:], a)], sb[:copy(sb[:], b)], bound, rows[:])
+	return d, ok, true
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// banded is the banded DP behind EditDistanceBounded over two symbol
+// sequences and a bound ≥ 0. rows is scratch for the two DP rows and must
+// hold at least 2·(min(|a|,|b|)+1) ints.
+func banded[S byte | rune](ra, rb []S, bound int, rows []int) (int, bool) {
 	if len(ra) > len(rb) {
 		ra, rb = rb, ra
 	}
@@ -60,8 +101,7 @@ func EditDistanceBounded(a, b string, bound int) (int, bool) {
 	}
 	const inf = int(^uint(0) >> 2)
 	n := len(ra)
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
+	prev, cur := rows[:n+1], rows[n+1:2*(n+1)]
 	for i := 0; i <= n; i++ {
 		if i <= bound {
 			prev[i] = i
@@ -133,11 +173,7 @@ func EditDistanceBounded(a, b string, bound int) (int, bool) {
 // 1 − ED(a, b) / max(|a|, |b|), a value in [0, 1]. Two empty strings have
 // similarity 1.
 func EditSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
-	}
+	m := max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
 	if m == 0 {
 		return 1
 	}

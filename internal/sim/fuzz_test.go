@@ -6,7 +6,8 @@ import "testing"
 // each other and against the Levenshtein metric axioms. The banded verifier
 // (EditDistanceBounded) reimplements the DP with early exits and band
 // bookkeeping, so agreement with the plain two-row DP is the property most
-// worth fuzzing.
+// worth fuzzing; its allocation-free ASCII path must in turn agree with the
+// rune DP it shortcuts.
 func FuzzEditDistance(f *testing.F) {
 	f.Add("", "", 0)
 	f.Add("kitten", "sitting", 3)
@@ -16,6 +17,10 @@ func FuzzEditDistance(f *testing.F) {
 	f.Add("héllo", "hello", 1) // multi-byte runes
 	f.Add("日本語", "日本", 1)
 	f.Add("ICDE 2018", "ICDE2018", 0)
+	f.Add("Proceedings of the VLDB Endowment, Volume 11, Issue 4, 2017-2018",
+		"Proceedings of the VLDB Endowment Volume 11 Issue 4 2017-2018", 5) // 64 bytes
+	f.Add("Proceedings of the VLDB Endowment, Volume 11, Issue 4, 2017-2018!",
+		"Proceedings of the VLDB Endowment, Volume 11, Issue 4, 2017-2018", 1) // 65 bytes
 	f.Fuzz(func(t *testing.T, a, b string, bound int) {
 		const maxLen = 256
 		if len(a) > maxLen || len(b) > maxLen {
@@ -65,6 +70,13 @@ func FuzzEditDistance(f *testing.F) {
 			}
 			if bd != bound+1 {
 				t.Fatalf("EditDistanceBounded(%q, %q, %d) = %d on failure, want bound+1", a, b, bound, bd)
+			}
+		}
+		if fd, fok, done := editBoundedASCII(a, b, bound); done {
+			ra, rb := []rune(a), []rune(b)
+			rows := make([]int, 2*(min(len(ra), len(rb))+1))
+			if rd, rok := banded(ra, rb, bound, rows); fd != rd || fok != rok {
+				t.Fatalf("ASCII path (%q, %q, %d) = (%d, %v), rune DP = (%d, %v)", a, b, bound, fd, fok, rd, rok)
 			}
 		}
 		if within := EditWithin(a, b, bound); within != (d <= bound) {

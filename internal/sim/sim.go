@@ -3,8 +3,18 @@
 // and normalized edit similarity), and hooks for ontology-based similarity
 // (implemented in internal/ontology and plugged in through internal/rules).
 //
-// All functions are pure and allocation-light; the verification-cost models
-// from Section IV-C of the paper live next to the functions they describe.
+// All functions are pure; the verification-cost models from Section IV-C of
+// the paper live next to the functions they describe. The entry points rule
+// verification runs on are allocation-free on its common inputs:
+//   - OverlapDistinct, JaccardDistinct, DiceDistinct and CosineDistinct, for
+//     duplicate-free token lists of up to 16 and 32 tokens (longer lists
+//     fall back to Overlap's map);
+//   - EditDistanceBounded and EditWithin, for ASCII strings of up to 64 bytes;
+//   - Eq, AtLeast and AtMost.
+//
+// Overlap, Jaccard, Dice and Cosine accept lists with duplicates and allocate
+// only past the same sizes; EditDistance and EditSimilarity always decode
+// their inputs to runes and allocate.
 package sim
 
 import "math"
@@ -47,14 +57,43 @@ func Overlap(a, b []string) int {
 	return n
 }
 
+// OverlapDistinct returns |a ∩ b| for duplicate-free a and b with one
+// membership scan of the shorter list against the longer. It equals Overlap
+// on such inputs and allocates nothing while the lists fit Overlap's scan
+// sizes; on inputs with duplicates it may overcount.
+func OverlapDistinct(a, b []string) int {
+	small, large := a, b
+	if len(small) > len(large) {
+		small, large = large, small
+	}
+	if len(small) > 16 || len(large) > 32 {
+		return Overlap(a, b)
+	}
+	n := 0
+	for _, t := range small {
+		if indexOf(large, t) >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Jaccard returns |a ∩ b| / |a ∪ b| over the token sets. Two empty sets have
 // similarity 1; one empty set against a non-empty one has similarity 0.
 func Jaccard(a, b []string) float64 {
-	da, db := dedupCount(a), dedupCount(b)
+	return jaccard(Overlap(a, b), dedupCount(a), dedupCount(b))
+}
+
+// JaccardDistinct is Jaccard for duplicate-free inputs: OverlapDistinct and
+// the list lengths as set sizes.
+func JaccardDistinct(a, b []string) float64 {
+	return jaccard(OverlapDistinct(a, b), len(a), len(b))
+}
+
+func jaccard(ov, da, db int) float64 {
 	if da == 0 && db == 0 {
 		return 1
 	}
-	ov := Overlap(a, b)
 	union := da + db - ov
 	if union == 0 {
 		return 1
@@ -64,23 +103,39 @@ func Jaccard(a, b []string) float64 {
 
 // Dice returns 2|a ∩ b| / (|a| + |b|) over the token sets.
 func Dice(a, b []string) float64 {
-	da, db := dedupCount(a), dedupCount(b)
+	return dice(Overlap(a, b), dedupCount(a), dedupCount(b))
+}
+
+// DiceDistinct is Dice for duplicate-free inputs.
+func DiceDistinct(a, b []string) float64 {
+	return dice(OverlapDistinct(a, b), len(a), len(b))
+}
+
+func dice(ov, da, db int) float64 {
 	if da+db == 0 {
 		return 1
 	}
-	return 2 * float64(Overlap(a, b)) / float64(da+db)
+	return 2 * float64(ov) / float64(da+db)
 }
 
 // Cosine returns |a ∩ b| / sqrt(|a|·|b|) over the token sets.
 func Cosine(a, b []string) float64 {
-	da, db := dedupCount(a), dedupCount(b)
+	return cosine(Overlap(a, b), dedupCount(a), dedupCount(b))
+}
+
+// CosineDistinct is Cosine for duplicate-free inputs.
+func CosineDistinct(a, b []string) float64 {
+	return cosine(OverlapDistinct(a, b), len(a), len(b))
+}
+
+func cosine(ov, da, db int) float64 {
 	if da == 0 && db == 0 {
 		return 1
 	}
 	if da == 0 || db == 0 {
 		return 0
 	}
-	return float64(Overlap(a, b)) / sqrtProduct(da, db)
+	return float64(ov) / sqrtProduct(da, db)
 }
 
 func dedupCount(a []string) int {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# check.sh is the repository's full verification gate: build, vet, the
-# dimelint invariant analyzers, the race-enabled test suite, and a short
-# fuzz smoke on the parser/DP/differential fuzz targets. CI and pre-merge
-# runs should invoke exactly this script (or `make check`, which delegates
-# here).
+# check.sh is the repository's full verification gate: build, vet, gofmt,
+# the dimelint invariant analyzers, the race-enabled test suite, and a short
+# fuzz smoke on the parser, edit-distance, edit-similarity verification and
+# differential fuzz targets. CI and pre-merge runs should invoke exactly this
+# script (or `make check`, which delegates here).
 #
 # The race-enabled suite includes the differential harness at the repo root
 # (dime_difftest_test.go), which runs DIME+ with IntraWorkers of 2 and 4 over
@@ -29,6 +29,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "${unformatted}" ]]; then
+    echo "gofmt: these files need formatting (run gofmt -w):"
+    echo "${unformatted}"
+    exit 1
+fi
+
 echo "== dimelint ./... (baseline: lint.baseline.json, budget: alloc.budget.json, lock baseline: lock.baseline.json)"
 # The allocation budget is the static half of the perf gate: dimelint fails
 # when a hot-path allocation site is added beyond alloc.budget.json. To
@@ -52,9 +60,11 @@ echo "== go test -race ./..."
 go test -race ./...
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
-go test -run=NONE -fuzz=FuzzParseRule -fuzztime="${FUZZTIME}" ./internal/rules
-go test -run=NONE -fuzz=FuzzEditDistance -fuzztime="${FUZZTIME}" ./internal/sim
-go test -run=NONE -fuzz=FuzzDiffDIMEPlus -fuzztime="${FUZZTIME}" .
+# -fuzz must match exactly one target per package, hence the anchors.
+go test -run=NONE -fuzz='^FuzzParseRule$' -fuzztime="${FUZZTIME}" ./internal/rules
+go test -run=NONE -fuzz='^FuzzEditSimEval$' -fuzztime="${FUZZTIME}" ./internal/rules
+go test -run=NONE -fuzz='^FuzzEditDistance$' -fuzztime="${FUZZTIME}" ./internal/sim
+go test -run=NONE -fuzz='^FuzzDiffDIMEPlus$' -fuzztime="${FUZZTIME}" .
 
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     echo "== bench snapshot (CHECK_BENCH=1)"
