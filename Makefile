@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test serve-test chaos-test lint alloc-report check bench trend
+.PHONY: build test serve-test chaos-test lint check bench trend
 
 build:
 	$(GO) build ./...
@@ -26,20 +26,11 @@ chaos-test:
 	$(GO) test -race -run TestDifferentialChaosHTTP .
 	$(GO) test -race ./internal/fault/ ./internal/client/
 
-# Static analysis with the checked-in baselines and allocation budget: fails
-# only on findings not recorded in lint.baseline.json or lock.baseline.json
-# (both kept empty — fix or //lint:ignore instead of baselining whenever
-# possible) or hot-path allocation sites beyond alloc.budget.json (regenerate
-# deliberately with
-# `go run ./cmd/dimelint -write-alloc-budget alloc.budget.json ./...`).
-# lock.baseline.json gates the locklint concurrency suite
-# (lockorder/heldcall/goleak/ctxflow).
+# Static analysis with the checked-in baseline: fails only on findings not
+# recorded in lint.baseline.json, which covers every analyzer and is kept
+# empty (fix or //lint:ignore instead of baselining whenever possible).
 lint:
-	$(GO) run ./cmd/dimelint -baseline lint.baseline.json -alloc-budget alloc.budget.json -lock-baseline lock.baseline.json ./...
-
-# Ranked hot-path allocation sites (what alloc.budget.json gates).
-alloc-report:
-	$(GO) run ./cmd/dimelint -alloc-report ./...
+	$(GO) run ./cmd/dimelint -baseline lint.baseline.json ./...
 
 # Full verification gate: build, vet, gofmt, dimelint, race tests, fuzz smoke.
 # Override the fuzz budget with FUZZTIME=30s etc. Add CHECK_BENCH=1 to also

@@ -213,6 +213,48 @@ func BenchmarkDIMEPlus(b *testing.B) {
 	})
 }
 
+// TestDIMEPlusAllocs is the measured allocation gate for DIME+: it counts
+// heap allocations per sequential run (IntraWorkers 1) with
+// testing.AllocsPerRun on the groups of BenchmarkDIMEPlus and
+// BenchmarkDIMEPlusParallel, and fails when either count grows by more than
+// 1% over the largest count measured with go1.24 on linux/amd64, in fresh
+// processes, under -race and under GOMAXPROCS=1:
+//
+//   - Scholar-600 (scholarBenchGroup, seed 23): 14,809–14,811;
+//   - DBGen-3000 (seed 29): 87,335–87,337.
+//
+// The 1% slack absorbs map-bucket variance between runs. One new allocation
+// per entity adds at least 600 (Scholar, 4%) or 3,000 (DBGen, 3.4%) and
+// fails. After a deliberate change, re-measure (go test -v -run
+// TestDIMEPlusAllocs logs the counts) and update them here.
+func TestDIMEPlusAllocs(t *testing.T) {
+	gopts, scholarOpts := scholarBenchGroup()
+	scholarOpts.IntraWorkers = 1
+	dbgenCfg := presets.DBGenConfig()
+	for _, tc := range []struct {
+		name     string
+		g        *entity.Group
+		opts     core.Options
+		measured float64
+	}{
+		{"scholar-600", datagen.Scholar(*gopts), *scholarOpts, 14811},
+		{"dbgen-3000", datagen.DBGen(datagen.DBGenOptions{NumEntities: 3000, ErrorRate: 0.10, Seed: 29}),
+			core.Options{Config: dbgenCfg, Rules: presets.DBGenRules(dbgenCfg), IntraWorkers: 1}, 87337},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := core.DIMEPlus(tc.g, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocations per run (measured %.0f)", allocs, tc.measured)
+			if limit := tc.measured * 1.01; allocs > limit {
+				t.Errorf("DIME+ allocates %.0f times per run, over the limit %.0f (measured %.0f + 1%%)", allocs, limit, tc.measured)
+			}
+		})
+	}
+}
+
 // BenchmarkDIMEPlusParallel measures the intra-group worker path on a DBGen
 // group, whose eds(Name) positive rule is expensive enough per pair for the
 // speculative-evaluation chunks to matter. The sequential variant pins

@@ -1,9 +1,8 @@
 // Command dimelint runs DIME's static-analysis suite (internal/lint) over
 // the module and reports violations of the codebase's correctness
 // invariants with file:line diagnostics — per-package analyzers plus the
-// interprocedural detersafe / panicprop / resultpkgs / alloclint passes and
-// the locklint concurrency suite (lockorder / heldcall / goleak / ctxflow)
-// over the module call graph.
+// interprocedural detersafe / panicprop passes and the locklint concurrency
+// suite (lockorder / heldcall / goleak / ctxflow) over the module call graph.
 //
 // Usage:
 //
@@ -14,22 +13,17 @@
 //
 //	//lint:ignore <analyzer|all> <reason>
 //
-// or accepted in a baseline file (see -baseline). Hot-path allocation
-// findings (alloclint) are budgeted separately through -alloc-budget, and
-// the locklint analyzers gate against their own -lock-baseline, so the
-// correctness baseline, the performance budget and the concurrency baseline
-// evolve independently; -alloc-report prints the underlying ranked
-// allocation sites, and -graph dumps the call graph and lock-acquisition
-// graph as DOT. With -only, baseline and budget entries for unselected
-// analyzers are ignored entirely: they are neither applied nor reported
-// stale, so a narrowed run never invents staleness ("locklint" in -only
-// expands to the four concurrency analyzers). Exit codes:
+// or accepted in a baseline file (see -baseline), one file for every
+// analyzer. -graph dumps the call graph and lock-acquisition graph as DOT.
+// With -only, baseline entries for unselected analyzers are ignored
+// entirely: they are neither applied nor reported stale, so a narrowed run
+// never invents staleness ("locklint" in -only expands to the four
+// concurrency analyzers). Exit codes:
 //
-//	0  no findings (or every finding is covered by baseline/budget)
-//	1  findings (with -baseline/-alloc-budget/-lock-baseline: findings not
-//	   covered)
+//	0  no findings (or every finding is covered by the baseline)
+//	1  findings (with -baseline: findings not covered)
 //	2  usage or load error (bad flags, unknown -only analyzer, unmatched
-//	   patterns, unreadable baseline/budget)
+//	   patterns, unreadable baseline)
 package main
 
 import (
@@ -39,7 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"dime/internal/lint"
@@ -60,9 +53,9 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonStale is the -json wire form of one stale baseline/budget entry: a
-// recorded finding that no longer occurs and should be garbage-collected
-// from its file.
+// jsonStale is the -json wire form of one stale baseline entry: a recorded
+// finding that no longer occurs and should be garbage-collected from the
+// baseline.
 type jsonStale struct {
 	File     string `json:"file"`
 	Analyzer string `json:"analyzer"`
@@ -70,25 +63,11 @@ type jsonStale struct {
 	Count    int    `json:"count"`
 }
 
-// jsonOutput is the -json document: current findings plus stale
-// baseline/budget entries (text mode prints the latter to stderr).
+// jsonOutput is the -json document: current findings plus stale baseline
+// entries (text mode prints the latter to stderr).
 type jsonOutput struct {
 	Findings []jsonFinding `json:"findings"`
 	Stale    []jsonStale   `json:"stale"`
-}
-
-// jsonAllocSite is the -alloc-report -json wire form of one ranked site.
-type jsonAllocSite struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
-	Kind      string `json:"kind"`
-	Func      string `json:"func"`
-	LoopDepth int    `json:"loopDepth"`
-	Dist      int    `json:"dist"`
-	Entry     string `json:"entry"`
-	Weight    int    `json:"weight"`
-	Message   string `json:"message"`
 }
 
 func run(argv []string, stdout, stderr io.Writer) int {
@@ -96,15 +75,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the selected analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit a JSON object {findings, stale} instead of file:line text")
-	baselinePath := fs.String("baseline", "", "accept non-alloclint findings recorded in this baseline `file`; fail only on new ones")
-	writeBaseline := fs.String("write-baseline", "", "record current non-alloclint findings to this baseline `file` and exit 0")
-	only := fs.String("only", "", "comma-separated `analyzers` to run (see -list); others are skipped and their baseline/budget entries ignored")
-	allocBudget := fs.String("alloc-budget", "", "accept alloclint findings recorded in this budget `file`; fail only when a hot-path allocation site is added")
-	writeAllocBudget := fs.String("write-alloc-budget", "", "record current alloclint findings to this budget `file` and exit 0")
-	lockBaseline := fs.String("lock-baseline", "", "accept locklint (lockorder/heldcall/goleak/ctxflow) findings recorded in this baseline `file`; fail only on new ones")
-	writeLockBaseline := fs.String("write-lock-baseline", "", "record current locklint findings to this baseline `file` and exit 0")
+	baselinePath := fs.String("baseline", "", "accept findings recorded in this baseline `file`; fail only on new ones")
+	writeBaseline := fs.String("write-baseline", "", "record current findings to this baseline `file` and exit 0")
+	only := fs.String("only", "", "comma-separated `analyzers` to run (see -list); others are skipped and their baseline entries ignored")
 	graph := fs.Bool("graph", false, "dump the module call graph and lock-acquisition graph as DOT and exit")
-	allocReport := fs.Bool("alloc-report", false, "print the ranked hot-path allocation-site report and exit (honors -json)")
 	typeErrors := fs.Bool("type-errors", false, "also print type-check errors (findings are best-effort when present)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: dimelint [flags] [patterns...]\n\npatterns default to ./...; flags:\n")
@@ -157,9 +131,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *allocReport {
-		return runAllocReport(pkgs, modRoot, *asJSON, stdout, stderr)
-	}
 	if *graph {
 		g := lint.BuildCallGraph(pkgs)
 		if err := g.WriteDOT(stdout); err != nil {
@@ -173,49 +144,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	diags := lint.Run(pkgs, analyzers)
 
-	// alloclint findings gate against the allocation budget, the locklint
-	// analyzers against the concurrency baseline, and everything else against
-	// the correctness baseline. The three-way split keeps a perf-budget bump
-	// or an accepted concurrency finding from touching lint.baseline.json and
-	// vice versa.
-	lockNames := map[string]bool{}
-	for _, name := range lint.LockLintNames() {
-		lockNames[name] = true
-	}
-	var allocDiags, lockDiags, restDiags []lint.Diagnostic
-	for _, d := range diags {
-		switch {
-		case d.Analyzer == (lint.AllocLint{}).Name():
-			allocDiags = append(allocDiags, d)
-		case lockNames[d.Analyzer]:
-			lockDiags = append(lockDiags, d)
-		default:
-			restDiags = append(restDiags, d)
+	if *writeBaseline != "" {
+		if err := lint.NewBaseline(diags, modRoot).Write(*writeBaseline); err != nil {
+			return fatal(stderr, err)
 		}
-	}
-
-	if *writeBaseline != "" || *writeAllocBudget != "" || *writeLockBaseline != "" {
-		if *writeBaseline != "" {
-			b := lint.NewBaseline(restDiags, modRoot)
-			if err := b.Write(*writeBaseline); err != nil {
-				return fatal(stderr, err)
-			}
-			fmt.Fprintf(stderr, "dimelint: recorded %d finding(s) to %s\n", len(restDiags), *writeBaseline)
-		}
-		if *writeAllocBudget != "" {
-			b := lint.NewBaseline(allocDiags, modRoot)
-			if err := b.Write(*writeAllocBudget); err != nil {
-				return fatal(stderr, err)
-			}
-			fmt.Fprintf(stderr, "dimelint: recorded %d alloc site(s) to %s\n", len(allocDiags), *writeAllocBudget)
-		}
-		if *writeLockBaseline != "" {
-			b := lint.NewBaseline(lockDiags, modRoot)
-			if err := b.Write(*writeLockBaseline); err != nil {
-				return fatal(stderr, err)
-			}
-			fmt.Fprintf(stderr, "dimelint: recorded %d locklint finding(s) to %s\n", len(lockDiags), *writeLockBaseline)
-		}
+		fmt.Fprintf(stderr, "dimelint: recorded %d finding(s) to %s\n", len(diags), *writeBaseline)
 		return 0
 	}
 
@@ -225,56 +158,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		keepEntry := func(analyzer string) bool {
-			return selected[analyzer] && analyzer != (lint.AllocLint{}).Name() && !lockNames[analyzer]
-		}
-		fresh, stale := filterBaseline(b, keepEntry).Apply(restDiags, modRoot)
-		restDiags = fresh
-		staleOut = append(staleOut, stale...)
+		diags, staleOut = filterBaseline(b, selected).Apply(diags, modRoot)
 	}
-	if *allocBudget != "" && selected[(lint.AllocLint{}).Name()] {
-		b, err := lint.ReadBaseline(*allocBudget)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		keepEntry := func(analyzer string) bool { return analyzer == (lint.AllocLint{}).Name() }
-		fresh, stale := filterBaseline(b, keepEntry).Apply(allocDiags, modRoot)
-		allocDiags = fresh
-		staleOut = append(staleOut, stale...)
-	}
-	if *lockBaseline != "" {
-		anySelected := false
-		for name := range lockNames {
-			if selected[name] {
-				anySelected = true
-			}
-		}
-		if anySelected {
-			b, err := lint.ReadBaseline(*lockBaseline)
-			if err != nil {
-				return fatal(stderr, err)
-			}
-			keepEntry := func(analyzer string) bool { return selected[analyzer] && lockNames[analyzer] }
-			fresh, stale := filterBaseline(b, keepEntry).Apply(lockDiags, modRoot)
-			lockDiags = fresh
-			staleOut = append(staleOut, stale...)
-		}
-	}
-
-	diags = append(append(restDiags, lockDiags...), allocDiags...)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
 
 	if *asJSON {
 		out := jsonOutput{Findings: []jsonFinding{}, Stale: []jsonStale{}}
@@ -309,42 +194,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dimelint: %d finding(s)\n", len(diags))
 		return 1
 	}
-	return 0
-}
-
-// runAllocReport prints the ranked hot-path allocation sites.
-func runAllocReport(pkgs []*lint.Package, modRoot string, asJSON bool, stdout, stderr io.Writer) int {
-	sites := lint.AnalyzeAllocs(lint.BuildCallGraph(pkgs), nil)
-	if asJSON {
-		out := make([]jsonAllocSite, 0, len(sites))
-		for _, s := range sites {
-			out = append(out, jsonAllocSite{
-				File:      relTo(modRoot, s.Pos.Filename),
-				Line:      s.Pos.Line,
-				Col:       s.Pos.Column,
-				Kind:      string(s.Kind),
-				Func:      s.Func,
-				LoopDepth: s.LoopDepth,
-				Dist:      s.Dist,
-				Entry:     s.Entry,
-				Weight:    s.Weight,
-				Message:   s.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetEscapeHTML(false)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return fatal(stderr, err)
-		}
-		return 0
-	}
-	for i, s := range sites {
-		fmt.Fprintf(stdout, "%4d  w=%-3d depth=%d dist=%d  %-10s %s:%d:%d  %s\n",
-			i+1, s.Weight, s.LoopDepth, s.Dist, s.Kind,
-			relTo(modRoot, s.Pos.Filename), s.Pos.Line, s.Pos.Column, s.Func)
-	}
-	fmt.Fprintf(stderr, "dimelint: %d hot-path allocation site(s)\n", len(sites))
 	return 0
 }
 
@@ -391,13 +240,13 @@ func selectAnalyzers(all []lint.Analyzer, names string) ([]lint.Analyzer, error)
 	return sel, nil
 }
 
-// filterBaseline returns a copy of b holding only the entries whose analyzer
-// passes keep, so -only runs and the baseline/budget split never report
-// entries outside their scope as stale.
-func filterBaseline(b *lint.Baseline, keep func(analyzer string) bool) *lint.Baseline {
+// filterBaseline returns a copy of b holding only the entries of the
+// selected analyzers, so -only runs never report entries outside their scope
+// as stale.
+func filterBaseline(b *lint.Baseline, selected map[string]bool) *lint.Baseline {
 	out := &lint.Baseline{Version: b.Version}
 	for _, f := range b.Findings {
-		if keep(f.Analyzer) {
+		if selected[f.Analyzer] {
 			out.Findings = append(out.Findings, f)
 		}
 	}

@@ -35,7 +35,7 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 
 const fixtureGolden = `lib.go:11:9: detersafe: time.Now (wall clock) in fixturemod.tick is reachable from result entry point fixturemod.Discover; results must not depend on it (chain: fixturemod.Discover -> fixturemod.tick)
 lib.go:15:6: panicprop: exported fixturemod.Outer can reach panic via fixturemod.inner (chain: fixturemod.Outer -> fixturemod.inner); return an error or absorb the panic behind recover/MustX
-lib.go:20:2: panic-in-library: panic in library function inner; return an error or move the panic into a Must* constructor
+lib.go:20:2: panicprop: panic in library function inner; return an error or move the panic into a Must* constructor
 lib.go:24:11: float-threshold: exact == on float values; use sim.Eq (epsilon 1e-9) instead
 `
 
@@ -59,7 +59,7 @@ const fixtureGoldenJSON = `{
       "file": "lib.go",
       "line": 20,
       "col": 2,
-      "analyzer": "panic-in-library",
+      "analyzer": "panicprop",
       "message": "panic in library function inner; return an error or move the panic into a Must* constructor"
     },
     {
@@ -72,17 +72,6 @@ const fixtureGoldenJSON = `{
   ],
   "stale": []
 }
-`
-
-// allocGolden is the alloclint text output over the allocmod fixture, whose
-// hot loop allocates through an unevidenced append and a Sprintf.
-const allocGolden = `lib.go:9:9: alloclint: append without preallocation evidence in hot-path function allocmod.Discover (loop depth 1); hoist it, reuse a buffer, or record it in the alloc budget
-lib.go:9:21: alloclint: fmt.Sprintf in a non-error path in hot-path function allocmod.Discover (loop depth 1); hoist it, reuse a buffer, or record it in the alloc budget
-`
-
-// allocReportGolden is the ranked -alloc-report text over allocmod.
-const allocReportGolden = `   1  w=24  depth=1 dist=0  append     lib.go:9:9  allocmod.Discover
-   2  w=24  depth=1 dist=0  format     lib.go:9:21  allocmod.Discover
 `
 
 func TestRunList(t *testing.T) {
@@ -133,52 +122,73 @@ func TestRunCleanModule(t *testing.T) {
 	}
 }
 
+// TestRunBaselineWorkflow records each fixture module's findings with
+// -write-baseline and checks the gate around them: a fully baselined run is
+// clean, dropping an entry resurfaces exactly that finding, and an entry
+// whose finding no longer occurs is reported stale without failing. One
+// baseline covers every analyzer, so the lockmod case gates the locklint
+// findings through the same -baseline.
 func TestRunBaselineWorkflow(t *testing.T) {
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-	chdir(t, filepath.Join("testdata", "src", "fixturemod"))
+	trimmedLock := strings.TrimSuffix(lockGolden, "\n")
+	for _, tc := range []struct {
+		mod string
+		// first is the finding of baseline entry 0. Entries sort by (file,
+		// analyzer, message): fixturemod's is the detersafe finding, the
+		// golden's first line; lockmod's is the heldcall "call to
+		// lockmod.drain" finding, the golden's last line.
+		first string
+	}{
+		{"fixturemod", fixtureGolden[:strings.Index(fixtureGolden, "\n")+1]},
+		{"lockmod", lockGolden[strings.LastIndex(trimmedLock, "\n")+1:]},
+	} {
+		t.Run(tc.mod, func(t *testing.T) {
+			baseline := filepath.Join(t.TempDir(), "baseline.json")
+			chdir(t, filepath.Join("testdata", "src", tc.mod))
 
-	// Record the current findings.
-	code, _, stderr := runCLI(t, "-write-baseline", baseline)
-	if code != 0 || !strings.Contains(stderr, "recorded 4 finding(s)") {
-		t.Fatalf("write-baseline: exit=%d stderr=%s", code, stderr)
-	}
+			// Record the current findings.
+			code, _, stderr := runCLI(t, "-write-baseline", baseline)
+			if code != 0 || !strings.Contains(stderr, "recorded 4 finding(s)") {
+				t.Fatalf("write-baseline: exit=%d stderr=%s", code, stderr)
+			}
 
-	// A fully baselined run is clean.
-	code, stdout, stderr := runCLI(t, "-baseline", baseline)
-	if code != 0 || stdout != "" {
-		t.Fatalf("baselined run: exit=%d stdout=%q stderr=%s", code, stdout, stderr)
-	}
+			// A fully baselined run is clean.
+			code, stdout, stderr := runCLI(t, "-baseline", baseline)
+			if code != 0 || stdout != "" {
+				t.Fatalf("baselined run: exit=%d stdout=%q stderr=%s", code, stdout, stderr)
+			}
 
-	// Dropping an entry makes exactly that finding fresh again.
-	b, err := lint.ReadBaseline(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := b.Findings
-	b.Findings = full[1:] // drop the detersafe entry (findings are sorted)
-	if err := b.Write(baseline); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ = runCLI(t, "-baseline", baseline)
-	if code != 1 {
-		t.Fatalf("new-finding run: exit = %d, want 1", code)
-	}
-	if want := fixtureGolden[:strings.Index(fixtureGolden, "\n")+1]; stdout != want {
-		t.Errorf("only the unbaselined finding should print:\n--- got ---\n%s--- want ---\n%s", stdout, want)
-	}
+			// Dropping an entry makes exactly that finding fresh again.
+			b, err := lint.ReadBaseline(baseline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := b.Findings
+			b.Findings = full[1:]
+			if err := b.Write(baseline); err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, _ = runCLI(t, "-baseline", baseline)
+			if code != 1 {
+				t.Fatalf("new-finding run: exit = %d, want 1", code)
+			}
+			if stdout != tc.first {
+				t.Errorf("only the unbaselined finding should print:\n--- got ---\n%s--- want ---\n%s", stdout, tc.first)
+			}
 
-	// A baseline entry whose finding no longer occurs is reported stale on
-	// stderr without failing the run.
-	b.Findings = append(full, lint.BaselineFinding{File: "gone.go", Analyzer: "detersafe", Message: "no longer here"})
-	if err := b.Write(baseline); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runCLI(t, "-baseline", baseline)
-	if code != 0 {
-		t.Fatalf("stale-entry run: exit = %d, want 0", code)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") || !strings.Contains(stderr, "gone.go") {
-		t.Errorf("want stale-entry warning on stderr, got: %s", stderr)
+			// A baseline entry whose finding no longer occurs is reported
+			// stale on stderr without failing the run.
+			b.Findings = append(full, lint.BaselineFinding{File: "gone.go", Analyzer: "detersafe", Message: "no longer here"})
+			if err := b.Write(baseline); err != nil {
+				t.Fatal(err)
+			}
+			code, _, stderr = runCLI(t, "-baseline", baseline)
+			if code != 0 {
+				t.Fatalf("stale-entry run: exit = %d, want 0", code)
+			}
+			if !strings.Contains(stderr, "stale baseline entry") || !strings.Contains(stderr, "gone.go") {
+				t.Errorf("want stale-entry warning on stderr, got: %s", stderr)
+			}
+		})
 	}
 }
 
@@ -217,8 +227,8 @@ func TestRunOnlyBaselineInteraction(t *testing.T) {
 	if code, _, stderr := runCLI(t, "-write-baseline", baseline); code != 0 {
 		t.Fatalf("write-baseline: exit=%d stderr=%s", code, stderr)
 	}
-	// The full baseline holds entries for four analyzers; a detersafe-only
-	// run must stay clean and must not call the other three entries stale.
+	// The full baseline holds entries for three analyzers; a detersafe-only
+	// run must stay clean and must not call the other entries stale.
 	code, stdout, stderr := runCLI(t, "-only", "detersafe", "-baseline", baseline)
 	if code != 0 || stdout != "" {
 		t.Fatalf("narrowed baselined run: exit=%d stdout=%q stderr=%s", code, stdout, stderr)
@@ -254,91 +264,6 @@ func TestRunJSONStale(t *testing.T) {
 	for _, frag := range []string{`"file": "gone.go"`, `"message": "no longer here"`, `"count": 2`} {
 		if !strings.Contains(stdout, frag) {
 			t.Errorf("stale array missing %s in:\n%s", frag, stdout)
-		}
-	}
-}
-
-func TestRunAllocBudgetWorkflow(t *testing.T) {
-	budget := filepath.Join(t.TempDir(), "alloc.budget.json")
-	chdir(t, filepath.Join("testdata", "src", "allocmod"))
-
-	// Unbudgeted, both hot-loop sites are findings.
-	code, stdout, stderr := runCLI(t)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr)
-	}
-	if stdout != allocGolden {
-		t.Errorf("stdout mismatch:\n--- got ---\n%s--- want ---\n%s", stdout, allocGolden)
-	}
-
-	// Record the budget; a budgeted run is clean.
-	code, _, stderr = runCLI(t, "-write-alloc-budget", budget)
-	if code != 0 || !strings.Contains(stderr, "recorded 2 alloc site(s)") {
-		t.Fatalf("write-alloc-budget: exit=%d stderr=%s", code, stderr)
-	}
-	code, stdout, stderr = runCLI(t, "-alloc-budget", budget)
-	if code != 0 || stdout != "" {
-		t.Fatalf("budgeted run: exit=%d stdout=%q stderr=%s", code, stdout, stderr)
-	}
-
-	// Shrinking the budget makes the dropped site a finding again: this is
-	// exactly what adding a new hot-path allocation site looks like.
-	b, err := lint.ReadBaseline(budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := b.Findings
-	b.Findings = full[1:]
-	if err := b.Write(budget); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ = runCLI(t, "-alloc-budget", budget)
-	if code != 1 {
-		t.Fatalf("over-budget run: exit = %d, want 1", code)
-	}
-	if want := allocGolden[:strings.Index(allocGolden, "\n")+1]; stdout != want {
-		t.Errorf("only the over-budget site should print:\n--- got ---\n%s--- want ---\n%s", stdout, want)
-	}
-
-	// A budget entry whose site was optimized away is stale, not fatal.
-	b.Findings = append(full, lint.BaselineFinding{File: "gone.go", Analyzer: "alloclint", Message: "optimized away"})
-	if err := b.Write(budget); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runCLI(t, "-alloc-budget", budget)
-	if code != 0 || !strings.Contains(stderr, "stale baseline entry") {
-		t.Fatalf("stale-budget run: exit=%d stderr=%s", code, stderr)
-	}
-
-	// With alloclint unselected the budget is not applied at all: no
-	// findings, and no stale storm from its now-unmatched entries.
-	code, stdout, stderr = runCLI(t, "-only", "detersafe", "-alloc-budget", budget)
-	if code != 0 || stdout != "" || strings.Contains(stderr, "stale") {
-		t.Fatalf("-only detersafe with budget: exit=%d stdout=%q stderr=%s", code, stdout, stderr)
-	}
-}
-
-func TestRunAllocReportGolden(t *testing.T) {
-	chdir(t, filepath.Join("testdata", "src", "allocmod"))
-	code, stdout, stderr := runCLI(t, "-alloc-report")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if stdout != allocReportGolden {
-		t.Errorf("report mismatch:\n--- got ---\n%s--- want ---\n%s", stdout, allocReportGolden)
-	}
-	if !strings.Contains(stderr, "2 hot-path allocation site(s)") {
-		t.Errorf("stderr should count sites, got: %s", stderr)
-	}
-
-	// JSON report carries the full site records.
-	code, stdout, _ = runCLI(t, "-alloc-report", "-json")
-	if code != 0 {
-		t.Fatalf("json report: exit = %d, want 0", code)
-	}
-	for _, frag := range []string{`"kind": "append"`, `"kind": "format"`, `"loopDepth": 1`, `"weight": 24`, `"entry": "allocmod.Discover"`} {
-		if !strings.Contains(stdout, frag) {
-			t.Errorf("json report missing %s in:\n%s", frag, stdout)
 		}
 	}
 }
@@ -422,72 +347,8 @@ func TestRunLockLintAlias(t *testing.T) {
 			t.Errorf("-list -only locklint missing %s:\n%s", name, stdout)
 		}
 	}
-	if strings.Contains(stdout, "detersafe") || strings.Contains(stdout, "alloclint") {
+	if strings.Contains(stdout, "detersafe") || strings.Contains(stdout, "panicprop") {
 		t.Errorf("-list -only locklint selected analyzers outside the group:\n%s", stdout)
-	}
-}
-
-// TestRunLockBaselineWorkflow checks the -lock-baseline split: locklint
-// findings gate against their own baseline, are invisible to -baseline, and
-// removing an entry resurfaces exactly that finding.
-func TestRunLockBaselineWorkflow(t *testing.T) {
-	lockBase := filepath.Join(t.TempDir(), "lock.baseline.json")
-	corrBase := filepath.Join(t.TempDir(), "baseline.json")
-	chdir(t, filepath.Join("testdata", "src", "lockmod"))
-
-	// Record the locklint findings; the correctness baseline stays empty —
-	// locklint findings must not leak into it.
-	code, _, stderr := runCLI(t, "-write-lock-baseline", lockBase, "-write-baseline", corrBase)
-	if code != 0 || !strings.Contains(stderr, "recorded 4 locklint finding(s)") {
-		t.Fatalf("write-lock-baseline: exit=%d stderr=%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "recorded 0 finding(s)") {
-		t.Fatalf("locklint findings leaked into the correctness baseline: %s", stderr)
-	}
-
-	// A fully lock-baselined run is clean.
-	code, stdout, stderr := runCLI(t, "-lock-baseline", lockBase)
-	if code != 0 || stdout != "" {
-		t.Fatalf("lock-baselined run: exit=%d stdout=%q stderr=%s", code, stdout, stderr)
-	}
-
-	// The same entries in -baseline do NOT cover locklint findings: the
-	// correctness baseline ignores lock analyzers entirely, so the findings
-	// stay fresh and the entries are not reported stale.
-	code, stdout, stderr = runCLI(t, "-baseline", lockBase)
-	if code != 1 || stdout != lockGolden {
-		t.Fatalf("-baseline must not cover locklint findings: exit=%d stdout=%q", code, stdout)
-	}
-	if strings.Contains(stderr, "stale") {
-		t.Errorf("-baseline reported locklint entries stale: %s", stderr)
-	}
-
-	// Dropping an entry makes exactly that finding fresh again — this is
-	// what an injected lock-order inversion looks like to `make check`.
-	// Baseline entries sort by (file, analyzer, message), so entry 0 is the
-	// heldcall "call to lockmod.drain" finding: lockGolden's last line.
-	b, err := lint.ReadBaseline(lockBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Findings = b.Findings[1:]
-	if err := b.Write(lockBase); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, _ = runCLI(t, "-lock-baseline", lockBase)
-	if code != 1 {
-		t.Fatalf("new-finding run: exit = %d, want 1", code)
-	}
-	trimmed := strings.TrimSuffix(lockGolden, "\n")
-	if want := lockGolden[strings.LastIndex(trimmed, "\n")+1:]; stdout != want {
-		t.Errorf("only the unbaselined finding should print:\n--- got ---\n%s--- want ---\n%s", stdout, want)
-	}
-
-	// With the lock analyzers unselected the lock baseline is not applied:
-	// no findings, no stale storm.
-	code, stdout, stderr = runCLI(t, "-only", "float-threshold", "-lock-baseline", lockBase)
-	if code != 0 || stdout != "" || strings.Contains(stderr, "stale") {
-		t.Fatalf("-only float-threshold with lock baseline: exit=%d stdout=%q stderr=%s", code, stdout, stderr)
 	}
 }
 

@@ -134,7 +134,7 @@ func TestDiscoverMetamorphicDuplicateEntity(t *testing.T) {
 }
 
 // TestDiscoverDeterministic is the regression gate behind dimelint's
-// mapiter-determinism analyzer: Discover must produce byte-identical
+// detersafe map-order check: Discover must produce byte-identical
 // scrollbar levels run-to-run on the same group, and the level contents must
 // not depend on entity insertion order. A map iteration leaking into result
 // assembly is exactly the bug that would break this.

@@ -54,15 +54,12 @@ func (s GoroutineSnapshot) CheckReleased(t TB) {
 // stacks renders every goroutine's stack, growing the buffer until the dump
 // fits. It runs only on the failure path, so its allocations do not matter.
 func stacks() string {
-	//lint:ignore alloclint failure-path stack dump; never runs on the green path
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			//lint:ignore alloclint failure-path stack dump; never runs on the green path
 			return string(buf[:n])
 		}
-		//lint:ignore alloclint failure-path stack dump; never runs on the green path
 		buf = make([]byte, 2*len(buf))
 	}
 }

@@ -5,15 +5,10 @@ package lint
 // call graph.
 func All() []Analyzer {
 	return []Analyzer{
-		MapIter{},
 		FloatCmp{},
 		ErrCheck{},
-		Concurrency{},
-		PanicFree{},
 		DeterSafe{},
 		PanicProp{},
-		ResultPkgs{},
-		AllocLint{},
 		LockOrder{},
 		HeldCall{},
 		GoLeak{},

@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the module-wide static call graph the interprocedural
-// analyzers (detersafe, panicprop, resultpkgs) run on. The graph is
+// analyzers (detersafe, panicprop, the locklint suite) run on. The graph is
 // stdlib-only and intentionally conservative:
 //
 //   - static calls (f(), pkg.F(), concrete method calls) become EdgeCall;

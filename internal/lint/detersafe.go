@@ -7,8 +7,7 @@ import (
 
 // EntryPoint names a function or method the interprocedural analyzers treat
 // as a result-producing root: detersafe proves nondeterminism sources are
-// unreachable from it, resultpkgs derives the result-package list from its
-// call-graph closure.
+// unreachable from it.
 type EntryPoint struct {
 	// Pkg is a package-path suffix ("internal/core"); "" matches the module
 	// root package.
@@ -22,7 +21,7 @@ type EntryPoint struct {
 // list is intentionally small and curated — these are the functions whose
 // outputs the paper's scrollbar semantics promise to be reproducible — and
 // everything else result-related is *derived* from it by call-graph
-// reachability (see ResultPkgs), not hand-maintained.
+// reachability, not hand-maintained.
 var DefaultEntryPoints = []EntryPoint{
 	// Root facade: discovery, sessions, rule generation, profiling.
 	{Pkg: "", Name: "Discover"},
@@ -161,13 +160,6 @@ func (a DeterSafe) RunModule(mp *ModulePass) {
 	for _, id := range ids {
 		n := visited[id]
 		for _, f := range n.Nondet {
-			// A mapiter-determinism suppression at the site asserts the
-			// iteration order is in fact harmless, so it clears the taint
-			// too; the remaining sources have no per-package analyzer and
-			// are suppressed as detersafe directly.
-			if strings.HasPrefix(f.What, "map iteration") && mp.SuppressedFor(f.Pos, (MapIter{}).Name()) {
-				continue
-			}
 			mp.Reportf(f.Pos, "%s in %s is reachable from result entry point %s; results must not depend on it (chain: %s)",
 				f.What, n.String(), rootOf(n, parent).String(), chainTo(n, parent))
 		}

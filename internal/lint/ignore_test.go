@@ -10,16 +10,20 @@ import (
 // the diagnostic for a reasonless directive, and a directive scoped to one
 // analyzer on a line where a second analyzer also fires.
 
+// emitRooted is detersafe rooted at the fixtures' emit function, so it
+// reports their map-range appends.
+var emitRooted = DeterSafe{Entries: []EntryPoint{{Pkg: "internal/core", Name: "emit"}}}
+
 func TestIgnoreBlockCommentTrailing(t *testing.T) {
 	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
 func emit(m map[string]int) []string {
 	var out []string
-	for k := range m { /*lint:ignore mapiter-determinism fixture: order-insensitive consumer*/
+	for k := range m { /*lint:ignore detersafe fixture: order-insensitive consumer*/
 		out = append(out, k)
 	}
 	return out
 }`)
-	expect(t, pkg, MapIter{}, 0)
+	expect(t, pkg, emitRooted, 0)
 }
 
 func TestIgnoreBlockCommentStandalone(t *testing.T) {
@@ -28,19 +32,19 @@ func TestIgnoreBlockCommentStandalone(t *testing.T) {
 	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
 func emit(m map[string]int) []string {
 	var out []string
-	/*lint:ignore mapiter-determinism fixture: order-insensitive consumer*/
+	/*lint:ignore detersafe fixture: order-insensitive consumer*/
 	for k := range m {
 		out = append(out, k)
 	}
 	return out
 }`)
-	expect(t, pkg, MapIter{}, 0)
+	expect(t, pkg, emitRooted, 0)
 }
 
 func TestIgnoreOnFirstLineOfFile(t *testing.T) {
 	// A directive as the file's first line (before the package clause) must
 	// parse, bind to line 2, and not leak onto findings further down.
-	pkg := fixture(t, "dime/internal/core", "fixture.go", `//lint:ignore mapiter-determinism fixture: binds to the package clause, not the loop
+	pkg := fixture(t, "dime/internal/core", "fixture.go", `//lint:ignore detersafe fixture: binds to the package clause, not the loop
 package core
 func emit(m map[string]int) []string {
 	var out []string
@@ -49,7 +53,7 @@ func emit(m map[string]int) []string {
 	}
 	return out
 }`)
-	diags := expect(t, pkg, MapIter{}, 1)
+	diags := expect(t, pkg, emitRooted, 1)
 	if diags[0].Pos.Line != 5 {
 		t.Errorf("finding at line %d, want 5 (directive must not reach it)", diags[0].Pos.Line)
 	}
@@ -59,13 +63,13 @@ func TestIgnoreWithoutReasonIsADiagnosticAtTheDirective(t *testing.T) {
 	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
 func emit(m map[string]int) []string {
 	var out []string
-	//lint:ignore mapiter-determinism
+	//lint:ignore detersafe
 	for k := range m {
 		out = append(out, k)
 	}
 	return out
 }`)
-	diags := expect(t, pkg, MapIter{}, 2)
+	diags := expect(t, pkg, emitRooted, 2)
 	if diags[0].Analyzer != "lint" || !strings.Contains(diags[0].Message, "malformed") {
 		t.Fatalf("want malformed-directive diagnostic first, got %v", diags[0])
 	}
@@ -74,7 +78,7 @@ func emit(m map[string]int) []string {
 			diags[0].Pos.Line, diags[0].Pos.Column)
 	}
 	// And crucially the reasonless directive suppresses nothing.
-	if diags[1].Analyzer != (MapIter{}).Name() || diags[1].Pos.Line != 5 {
+	if diags[1].Analyzer != emitRooted.Name() || diags[1].Pos.Line != 5 {
 		t.Errorf("map-range finding should survive, got %v", diags[1])
 	}
 }
@@ -90,17 +94,17 @@ func emit(m map[string]int, x float64) []string {
 	return out
 }`
 	pkg := fixture(t, "dime/internal/core", "fixture.go", src)
-	diags := Run([]*Package{pkg}, []Analyzer{MapIter{}, FloatCmp{}})
+	diags := Run([]*Package{pkg}, []Analyzer{emitRooted, FloatCmp{}})
 	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want only the mapiter one: %v", len(diags), diags)
+		t.Fatalf("got %d diagnostics, want only the detersafe one: %v", len(diags), diags)
 	}
-	if diags[0].Analyzer != (MapIter{}).Name() || diags[0].Pos.Line != 5 {
-		t.Errorf("surviving finding = %v, want mapiter-determinism at line 5", diags[0])
+	if diags[0].Analyzer != emitRooted.Name() || diags[0].Pos.Line != 5 {
+		t.Errorf("surviving finding = %v, want detersafe at line 5", diags[0])
 	}
 
 	// Widening the directive to "all" silences both.
 	pkg = fixture(t, "dime/internal/core", "fixture.go", strings.Replace(src, "float-threshold fixture", "all fixture", 1))
-	if diags := Run([]*Package{pkg}, []Analyzer{MapIter{}, FloatCmp{}}); len(diags) != 0 {
+	if diags := Run([]*Package{pkg}, []Analyzer{emitRooted, FloatCmp{}}); len(diags) != 0 {
 		t.Errorf("all-scoped directive should silence both analyzers, got %v", diags)
 	}
 }

@@ -1,37 +1,9 @@
 package lint
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// loadFixtureModule writes files (slash-relative paths, including go.mod)
-// into a temp dir and loads the whole module as lint units.
-func loadFixtureModule(t *testing.T, files map[string]string) []*Package {
-	t.Helper()
-	dir := t.TempDir()
-	for rel, src := range files {
-		full := filepath.Join(dir, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pkgs, err := Load(dir, nil)
-	if err != nil {
-		t.Fatalf("load fixture module: %v", err)
-	}
-	for _, p := range pkgs {
-		if len(p.TypeErrors) > 0 {
-			t.Fatalf("fixture package %s has type errors: %v", p.Path, p.TypeErrors)
-		}
-	}
-	return pkgs
-}
 
 var rootEntry = []EntryPoint{{Pkg: "", Name: "Discover"}}
 
@@ -115,12 +87,12 @@ func tick() int64 {
 }
 
 func TestDeterSafeHonorsMapIterSuppression(t *testing.T) {
-	// A mapiter-determinism ignore asserts the order is harmless, so the
-	// same site must not surface again through the call graph.
+	// An ignore at a map-range site asserts the order is harmless, so the
+	// site must not surface through the call graph.
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 func Discover(m map[string]int) []string {
 	var out []string
-	//lint:ignore mapiter-determinism fixture: order does not matter here
+	//lint:ignore detersafe fixture: order does not matter here
 	for k := range m {
 		out = append(out, k)
 	}
@@ -148,21 +120,28 @@ func TestPanicPropFlagsReachablePanic(t *testing.T) {
 	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
 func Outer() { inner() }
 func inner() { panic("boom") }`)
-	diags := expect(t, pkg, PanicProp{}, 1)
+	diags := expect(t, pkg, PanicProp{}, 2)
 	if diags[0].Pos.Line != 2 {
 		t.Errorf("finding at line %d, want 2 (the exported decl)", diags[0].Pos.Line)
 	}
 	if !strings.Contains(diags[0].Message, "internal/core.Outer -> internal/core.inner") {
 		t.Errorf("message should show the chain: %s", diags[0].Message)
 	}
+	if diags[1].Pos.Line != 3 || !strings.Contains(diags[1].Message, "panic in library function inner") {
+		t.Errorf("want the direct finding at the panic site, got %v", diags[1])
+	}
 }
 
 func TestPanicPropDirectPanicIsPanicfreeTerritory(t *testing.T) {
-	// A panic in the exported function itself is panicfree's per-function
-	// finding; panicprop only reports reachability through calls.
+	// A panic in the exported function itself is the per-site panic-free
+	// finding, reported once at the panic; reachability is only reported
+	// through calls.
 	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
 func Outer() { panic("boom") }`)
-	expect(t, pkg, PanicProp{}, 0)
+	diags := expect(t, pkg, PanicProp{}, 1)
+	if !strings.Contains(diags[0].Message, "panic in library function Outer") || diags[0].Pos.Column != 16 {
+		t.Errorf("want the direct finding at the panic site 2:16, got %v", diags[0])
+	}
 }
 
 func TestPanicPropMustAndRecoverAbsorb(t *testing.T) {
@@ -179,7 +158,11 @@ func Guarded() {
 	inner()
 }
 func inner() { panic("boom") }`)
-	expect(t, pkg, PanicProp{}, 0)
+	// The boundaries stop propagation, so only inner's own panic remains.
+	diags := expect(t, pkg, PanicProp{}, 1)
+	if diags[0].Pos.Line != 13 || !strings.Contains(diags[0].Message, "panic in library function inner") {
+		t.Errorf("want only the direct finding in inner, got %v", diags[0])
+	}
 }
 
 func TestPanicPropThroughInterfaceDispatch(t *testing.T) {
@@ -188,8 +171,8 @@ type codec interface{ decode(string) int }
 type strict struct{}
 func (strict) decode(s string) int { panic("bad input") }
 func Decode(c codec, s string) int { return c.decode(s) }`)
-	diags := expect(t, pkg, PanicProp{}, 1)
-	if !strings.Contains(diags[0].Message, "internal/core.strict.decode") {
+	diags := expect(t, pkg, PanicProp{}, 2) // the direct panic in decode, then Decode
+	if !strings.Contains(diags[1].Message, "internal/core.strict.decode") {
 		t.Errorf("want panic reached through interface dispatch, got: %s", diags[0].Message)
 	}
 }
@@ -199,120 +182,9 @@ func TestPanicPropTransitiveChain(t *testing.T) {
 func Top() { mid() }
 func mid() { deep() }
 func deep() { panic("boom") }`)
-	diags := expect(t, pkg, PanicProp{}, 1)
+	diags := expect(t, pkg, PanicProp{}, 2) // Top's reachability, then deep's panic
 	want := "internal/core.Top -> internal/core.mid -> internal/core.deep"
 	if !strings.Contains(diags[0].Message, want) {
 		t.Errorf("chain = %s, want %s", diags[0].Message, want)
-	}
-}
-
-// fixtureModuleFiles is a three-package module: Discover reaches alpha
-// (statically) and beta (through an interface), gamma is dead code.
-var fixtureModuleFiles = map[string]string{
-	"go.mod": "module fixturemod\n\ngo 1.22\n",
-	"root.go": `package fixturemod
-
-import (
-	"fixturemod/internal/alpha"
-	"fixturemod/internal/beta"
-)
-
-// Discover is the fixture's result entry point.
-func Discover(n int) int {
-	var s alpha.Step = alpha.Double{}
-	return s.Apply(beta.Inc(n))
-}
-`,
-	"internal/alpha/alpha.go": `package alpha
-
-// Step is dispatched through an interface from the module root.
-type Step interface{ Apply(int) int }
-
-// Double is the only implementation.
-type Double struct{}
-
-// Apply implements Step.
-func (Double) Apply(n int) int { return 2 * n }
-`,
-	"internal/beta/beta.go": `package beta
-
-// Inc is called statically from the module root.
-func Inc(n int) int { return n + 1 }
-`,
-	"internal/gamma/gamma.go": `package gamma
-
-// Dead is referenced by nothing.
-func Dead() int { return 0 }
-`,
-}
-
-func TestResultPkgsDerivationAcrossPackages(t *testing.T) {
-	pkgs := loadFixtureModule(t, fixtureModuleFiles)
-	g := BuildCallGraph(pkgs)
-	got := deriveResultPackages(g, rootEntry)
-	want := []string{"internal/alpha", "internal/beta"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("derived packages = %v, want %v (alpha via interface dispatch, beta via static call, gamma dead)", got, want)
-	}
-}
-
-func TestResultPkgsCleanWhenListMatches(t *testing.T) {
-	pkgs := loadFixtureModule(t, fixtureModuleFiles)
-	a := ResultPkgs{Entries: rootEntry, Expected: []string{"internal/alpha", "internal/beta"}}
-	if diags := Run(pkgs, []Analyzer{a}); len(diags) != 0 {
-		t.Errorf("want clean, got %v", diags)
-	}
-}
-
-func TestResultPkgsFlagsMissingAndStaleEntries(t *testing.T) {
-	pkgs := loadFixtureModule(t, fixtureModuleFiles)
-	a := ResultPkgs{Entries: rootEntry, Expected: []string{"internal/beta", "internal/gamma"}}
-	diags := Run(pkgs, []Analyzer{a})
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
-	}
-	if !strings.Contains(diags[0].Message, `"internal/alpha" is reachable`) {
-		t.Errorf("want missing-entry finding for alpha, got: %s", diags[0].Message)
-	}
-	if !strings.Contains(diags[1].Message, `"internal/gamma" in DefaultResultPackages is not reachable`) {
-		t.Errorf("want stale-entry finding for gamma, got: %s", diags[1].Message)
-	}
-}
-
-func TestResultPkgsSkipsPartialLoads(t *testing.T) {
-	// With a nil Expected the analyzer validates DefaultResultPackages,
-	// which is only meaningful on a whole-module load including
-	// internal/lint; a fixture module must stay silent.
-	pkgs := loadFixtureModule(t, fixtureModuleFiles)
-	if diags := Run(pkgs, []Analyzer{ResultPkgs{}}); len(diags) != 0 {
-		t.Errorf("partial load should be silent, got %v", diags)
-	}
-}
-
-// TestDefaultResultPackagesMatchesDerivation is the drift regression test:
-// loading the real module and deriving the result packages from the call
-// graph must reproduce DefaultResultPackages exactly. A new package wired
-// into the result path fails here (and in `make lint`) until registered.
-func TestDefaultResultPackagesMatchesDerivation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module type-check is slow")
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(cwd, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := deriveResultPackages(BuildCallGraph(pkgs), DefaultEntryPoints)
-	if len(got) != len(DefaultResultPackages) {
-		t.Fatalf("derived %d packages, DefaultResultPackages lists %d:\nderived: %v\nlisted:  %v",
-			len(got), len(DefaultResultPackages), got, DefaultResultPackages)
-	}
-	for i := range got {
-		if got[i] != DefaultResultPackages[i] {
-			t.Errorf("entry %d: derived %q, listed %q", i, got[i], DefaultResultPackages[i])
-		}
 	}
 }

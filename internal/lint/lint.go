@@ -1,19 +1,21 @@
 // Package lint is a stdlib-only static-analysis framework (go/parser +
-// go/ast + go/types, no x/tools) that enforces DIME's code-level correctness
-// invariants: deterministic result emission, epsilon-safe float threshold
-// comparisons, no silently dropped errors from this module's own functions,
-// lock-copy and goroutine-capture hygiene in fan-out code, and panic-free
-// library paths.
+// go/ast + go/types, no x/tools) that enforces the DIME code invariants no
+// other gate checks: deterministic result emission, epsilon-safe float
+// threshold comparisons, no silently dropped errors from this module's own
+// functions, panic-free library paths, and lock-order, blocking, goroutine
+// lifetime and context hygiene in the concurrent code. Lock copies are left
+// to go vet's copylocks check, allocation counts to the AllocsPerRun tests
+// and benchmarks.
 //
 // The framework walks every package in the module (see Load), runs each
 // Analyzer over the type-checked syntax, and reports file:line diagnostics.
 // On top of the per-package passes, a module-wide static call graph (see
-// BuildCallGraph) powers three interprocedural analyzers: detersafe proves
+// BuildCallGraph) powers the interprocedural analyzers: detersafe proves
 // the result-producing entry points cannot transitively reach
-// nondeterminism sources, panicprop lifts the panic-in-library rule to
-// call-graph reachability from exported API, and resultpkgs derives the
-// result-producing package list and fails when DefaultResultPackages is
-// stale.
+// nondeterminism sources (map iteration order escaping into results among
+// them), panicprop reports library panics and the exported API from which
+// one is reachable, and the locklint suite (lockorder, heldcall, goleak,
+// ctxflow) checks the lock facts derived from the same graph.
 //
 // A finding can be suppressed with a comment on the same line or the line
 // directly above it:
@@ -21,10 +23,11 @@
 //	//lint:ignore <analyzer|all> <reason>
 //
 // The same directive inside a single-line /* */ comment works too. The
-// reason is mandatory; an ignore directive without one is itself a
-// diagnostic. Accepted findings that cannot or should not be fixed in-source
-// can instead be recorded in a baseline file (see Baseline), which
-// cmd/dimelint consumes so CI fails only on new findings.
+// reason is mandatory, and the analyzer must be "all" or a name from All();
+// any other directive is itself a diagnostic. Accepted findings that cannot
+// or should not be fixed in-source can instead be recorded in a baseline
+// file (see Baseline), which cmd/dimelint consumes so CI fails only on new
+// findings.
 package lint
 
 import (
@@ -104,10 +107,8 @@ func (p *Pass) InModule(obj types.Object) bool {
 	return path == p.Pkg.Module || strings.HasPrefix(path, p.Pkg.Module+"/")
 }
 
-// IsTestFile reports whether the file holding pos is a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
+// Files returns the package's parsed files.
+func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
 
 // ModulePass carries the whole loaded package set and its call graph to a
 // ModuleAnalyzer. All packages share one FileSet (as Load guarantees).
@@ -121,7 +122,6 @@ type ModulePass struct {
 	// Graph is the module call graph over Pkgs.
 	Graph *CallGraph
 
-	ignores   ignoreSet
 	analyzer  string
 	sink      *[]Diagnostic
 	lockFacts *LockFacts
@@ -134,15 +134,6 @@ func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: mp.analyzer,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// SuppressedFor reports whether a //lint:ignore directive for the named
-// analyzer (or "all") covers pos. Interprocedural analyzers use it to honor
-// a per-package suppression at a fact site: a mapiter-determinism ignore
-// asserts the iteration is in fact order-safe, so detersafe must not taint
-// paths through it.
-func (mp *ModulePass) SuppressedFor(pos token.Pos, analyzer string) bool {
-	return mp.ignores.suppresses(Diagnostic{Pos: mp.Fset.Position(pos), Analyzer: analyzer})
 }
 
 // Run executes the analyzers over the packages, applies //lint:ignore
@@ -194,11 +185,10 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 	}
 	if len(moduleAnalyzers) > 0 && len(pkgs) > 0 {
 		mp := &ModulePass{
-			Fset:    pkgs[0].Fset,
-			Pkgs:    pkgs,
-			Module:  pkgs[0].Module,
-			Graph:   BuildCallGraph(pkgs),
-			ignores: merged,
+			Fset:   pkgs[0].Fset,
+			Pkgs:   pkgs,
+			Module: pkgs[0].Module,
+			Graph:  BuildCallGraph(pkgs),
 		}
 		for _, ma := range moduleAnalyzers {
 			var raw []Diagnostic
@@ -249,9 +239,14 @@ func (s ignoreSet) suppresses(d Diagnostic) bool {
 // directives, in both line-comment and single-line block-comment form. A
 // directive sharing its line with code suppresses findings on that line; a
 // directive alone on its line suppresses the line below instead. Malformed
-// directives (no analyzer name or no reason) are returned as diagnostics so
-// they cannot silently disable nothing.
+// directives (no analyzer name or no reason) and directives naming an
+// analyzer outside All() are returned as diagnostics so they cannot silently
+// disable nothing.
 func collectIgnores(pkg *Package) (ignoreSet, []Diagnostic) {
+	known := map[string]bool{"all": true}
+	for _, a := range All() {
+		known[a.Name()] = true
+	}
 	set := ignoreSet{}
 	var bad []Diagnostic
 	for _, f := range pkg.Files {
@@ -268,6 +263,14 @@ func collectIgnores(pkg *Package) (ignoreSet, []Diagnostic) {
 						Pos:      pos,
 						Analyzer: "lint",
 						Message:  "malformed //lint:ignore directive: want \"//lint:ignore <analyzer|all> <reason>\"",
+					})
+					continue
+				}
+				if !known[fields[0]] {
+					bad = append(bad, Diagnostic{
+						Pos:      pos,
+						Analyzer: "lint",
+						Message:  fmt.Sprintf("//lint:ignore names unknown analyzer %q: want \"all\" or a name from dimelint -list", fields[0]),
 					})
 					continue
 				}

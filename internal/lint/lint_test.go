@@ -11,9 +11,9 @@ import (
 )
 
 // fixture type-checks one in-memory source file as a module package and
-// returns it as a lint unit. path controls package-scoped analyzer behavior
-// (e.g. mapiter-determinism only fires in result-producing packages);
-// filename controls test-file exemptions.
+// returns it as a lint unit. path controls which entry points match (e.g.
+// detersafe's default roots include internal/core.DIMEPlus); filename
+// controls test-file exemptions.
 func fixture(t *testing.T, path, filename, src string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -57,6 +57,9 @@ func expect(t *testing.T, pkg *Package, a Analyzer, want int) []Diagnostic {
 	return diags
 }
 
+// The map-iteration fixtures below run through detersafe, which reports an
+// escaping map order wherever a result entry point reaches it.
+
 func TestMapIterFlagsUnsortedAppend(t *testing.T) {
 	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
 func emit(m map[string]int) []string {
@@ -65,8 +68,9 @@ func emit(m map[string]int) []string {
 		out = append(out, k)
 	}
 	return out
-}`)
-	diags := expect(t, pkg, MapIter{}, 1)
+}
+func DIMEPlus(m map[string]int) []string { return emit(m) }`)
+	diags := expect(t, pkg, DeterSafe{}, 1)
 	if !strings.Contains(diags[0].Message, `"out"`) {
 		t.Errorf("message should name the slice: %s", diags[0].Message)
 	}
@@ -90,11 +94,17 @@ func grow(m map[string][]int) {
 	for k := range m {
 		m[k] = append(m[k], 0)
 	}
+}
+func DIMEPlus(m map[string]int, g map[string][]int) []string {
+	grow(g)
+	return emit(m)
 }`)
-	expect(t, pkg, MapIter{}, 0)
+	expect(t, pkg, DeterSafe{}, 0)
 }
 
 func TestMapIterIgnoresNonResultPackages(t *testing.T) {
+	// No result entry point reaches this package, so its map order never
+	// reaches a result.
 	pkg := fixture(t, "dime/internal/metrics", "fixture.go", `package metrics
 func emit(m map[string]int) []string {
 	var out []string
@@ -102,8 +112,9 @@ func emit(m map[string]int) []string {
 		out = append(out, k)
 	}
 	return out
-}`)
-	expect(t, pkg, MapIter{}, 0)
+}
+func Emit(m map[string]int) []string { return emit(m) }`)
+	expect(t, pkg, DeterSafe{}, 0)
 }
 
 func TestFloatCmpFlagsEqualityAndThresholds(t *testing.T) {
@@ -165,45 +176,8 @@ func use() error {
 	expect(t, pkg, ErrCheck{}, 0)
 }
 
-func TestConcurrencyFlagsMutexCopyAndLoopCapture(t *testing.T) {
-	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
-import "sync"
-type state struct{ mu sync.Mutex; n int }
-func byValue(s state) int { return s.n }
-func fanOut(jobs []int) {
-	for i := range jobs {
-		go func() {
-			_ = jobs[i]
-		}()
-	}
-}`)
-	diags := expect(t, pkg, Concurrency{}, 2)
-	if !strings.Contains(diags[0].Message, "sync.Mutex") {
-		t.Errorf("copy finding should name the lock: %s", diags[0].Message)
-	}
-	if !strings.Contains(diags[1].Message, `"i"`) {
-		t.Errorf("capture finding should name the loop variable: %s", diags[1].Message)
-	}
-}
-
-func TestConcurrencyAllowsPointerAndArgumentPassing(t *testing.T) {
-	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
-import "sync"
-type state struct{ mu sync.Mutex; n int }
-func byPointer(s *state) int { return s.n }
-func fanOut(jobs []int) {
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_ = jobs[i]
-		}(i)
-	}
-	wg.Wait()
-}`)
-	expect(t, pkg, Concurrency{}, 0)
-}
+// The panic-free fixtures below run through panicprop, which reports every
+// direct library panic at its site.
 
 func TestPanicFreeFlagsLibraryPanics(t *testing.T) {
 	pkg := fixture(t, "dime/internal/rules", "fixture.go", `package rules
@@ -213,9 +187,12 @@ func Load(s string) int {
 	}
 	return len(s)
 }`)
-	diags := expect(t, pkg, PanicFree{}, 1)
-	if !strings.Contains(diags[0].Message, "Load") {
+	diags := expect(t, pkg, PanicProp{}, 1)
+	if !strings.Contains(diags[0].Message, "panic in library function Load") {
 		t.Errorf("finding should name the function: %s", diags[0].Message)
+	}
+	if diags[0].Pos.Line != 4 {
+		t.Errorf("finding at line %d, want 4 (the panic site)", diags[0].Pos.Line)
 	}
 }
 
@@ -230,7 +207,7 @@ func MustLoad(s string) int {
 	check()
 	return len(s)
 }`)
-	expect(t, pkg, PanicFree{}, 0)
+	expect(t, pkg, PanicProp{}, 0)
 
 	pkg = fixture(t, "dime/internal/rules", "fixture_test.go", `package rules
 func helper(s string) int {
@@ -239,7 +216,7 @@ func helper(s string) int {
 	}
 	return len(s)
 }`)
-	expect(t, pkg, PanicFree{}, 0)
+	expect(t, pkg, PanicProp{}, 0)
 }
 
 func TestIgnoreDirectiveSuppressesFinding(t *testing.T) {
@@ -255,14 +232,31 @@ func evalAbove(s float64) bool {
 }
 
 func TestIgnoreDirectiveScopedToAnalyzerAndLine(t *testing.T) {
+	// errcheck-lite does not run here, but it is a name from All(), so the
+	// directive is valid: it just suppresses nothing.
 	pkg := fixture(t, "dime/internal/rules", "fixture.go", `package rules
 func eval(s float64) bool {
-	return s == 0.5 //lint:ignore mapiter-determinism wrong analyzer name
+	return s == 0.5 //lint:ignore errcheck-lite wrong analyzer name
 }
 func evalNext(s float64) bool {
 	return s == 1
 }`)
 	expect(t, pkg, FloatCmp{}, 2)
+
+	// A directive naming an analyzer outside All() (a typo, or a retired
+	// analyzer) suppresses nothing either, and is reported at the directive.
+	pkg = fixture(t, "dime/internal/rules", "fixture.go", `package rules
+func eval(s float64) bool {
+	return s == 0.5 //lint:ignore float-treshold misspelled analyzer name
+}`)
+	diags := expect(t, pkg, FloatCmp{}, 2)
+	if diags[0].Analyzer != (FloatCmp{}).Name() || diags[0].Pos.Line != 3 {
+		t.Errorf("float finding under the unknown directive should survive, got %v", diags[0])
+	}
+	if diags[1].Analyzer != "lint" || !strings.Contains(diags[1].Message, `unknown analyzer "float-treshold"`) ||
+		diags[1].Pos.Line != 3 || diags[1].Pos.Column != 18 {
+		t.Errorf("want the unknown-analyzer diagnostic at the directive 3:18, got %v", diags[1])
+	}
 }
 
 func TestLoadResolvesModulePackages(t *testing.T) {

@@ -20,8 +20,8 @@ package lint
 // lockorder and heldcall scan every non-test function in the module (a
 // deadlock does not care how the code was reached); goleak and ctxflow are
 // rooted at entry points, detersafe-style. Findings are suppressed with the
-// standard //lint:ignore directive or recorded in cmd/dimelint's
-// lock.baseline.json (kept empty: fix or carry a reasoned ignore instead).
+// standard //lint:ignore directive or recorded in lint.baseline.json like
+// every other finding (kept empty: fix or carry a reasoned ignore instead).
 
 import (
 	"go/ast"
@@ -32,7 +32,7 @@ import (
 )
 
 // LockLintNames lists the locklint analyzer names — the group behind
-// cmd/dimelint's `-only locklint` alias and its -lock-baseline split.
+// cmd/dimelint's `-only locklint` alias.
 func LockLintNames() []string {
 	return []string{"lockorder", "heldcall", "goleak", "ctxflow"}
 }

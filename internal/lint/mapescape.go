@@ -8,115 +8,12 @@ import (
 	"strings"
 )
 
-// DefaultResultPackages lists the package-path suffixes whose emission order
-// reaches users, so mapiter-determinism lints them. The list is no longer
-// hand-curated: the resultpkgs analyzer derives the same set from the module
-// call graph (packages reachable from the result-producing entry points in
-// DefaultEntryPoints) and fails when this list drifts from the derivation,
-// in either direction. Each entry, and why its ordering is user-visible:
-//
-//   - internal/core: the scrollbar levels, partitions and witnesses;
-//   - internal/rules: rule evaluation and serialization order;
-//   - internal/rulegen: the order of generated rules in a RuleSet;
-//   - internal/analysis: profiling output;
-//   - internal/entity, internal/signature, internal/partition,
-//     internal/tokenize, internal/sim, internal/ontology: the ID lists,
-//     token streams and similarity values feeding those paths;
-//   - internal/obs: trace JSON and /metrics text, byte-stable so dumps diff
-//     cleanly across runs;
-//   - internal/difftest: differential comparisons and failure messages,
-//     deterministic so divergences reproduce;
-//   - internal/datagen, internal/presets: the seeded corpora the
-//     differential harness compares over — a derivation catch the
-//     hand-maintained list had missed;
-//   - internal/serve: the HTTP JSON API bodies (corpus listings, scrollbar
-//     levels, witness reports), whose encoding order clients see — reachable
-//     from the difftest entry points via the HTTP-backed runner;
-//   - internal/client, internal/fault: the resilient API client and the
-//     fault injector, reachable from the difftest entry points via the
-//     chaos runner — the client relays wire bodies and the injector's
-//     middleware replays recorded response headers, both user-visible.
-var DefaultResultPackages = []string{
-	"internal/analysis",
-	"internal/client",
-	"internal/core",
-	"internal/datagen",
-	"internal/difftest",
-	"internal/entity",
-	"internal/fault",
-	"internal/obs",
-	"internal/ontology",
-	"internal/partition",
-	"internal/presets",
-	"internal/rulegen",
-	"internal/rules",
-	"internal/serve",
-	"internal/signature",
-	"internal/sim",
-	"internal/tokenize",
-}
-
-// MapIter is the mapiter-determinism analyzer: in result-producing packages
-// it flags `range` over a map whose body appends to a slice or writes
-// output, unless a later statement in the same block sorts the collected
-// slice. Go map iteration order is random per run, so an unsorted
-// map-ranged append makes the scrollbar (Level.EntityIDs and friends)
-// nondeterministic across identical runs.
-type MapIter struct {
-	// Packages holds package-path suffixes to analyze; nil means
-	// DefaultResultPackages. The module root package is always analyzed.
-	Packages []string
-}
-
-// Name implements Analyzer.
-func (MapIter) Name() string { return "mapiter-determinism" }
-
-// Doc implements Analyzer.
-func (MapIter) Doc() string {
-	return "range over a map that appends to a slice or writes output without a following sort, in result-producing packages"
-}
-
-// Run implements Analyzer.
-func (a MapIter) Run(pass *Pass) {
-	pkgs := a.Packages
-	if pkgs == nil {
-		pkgs = DefaultResultPackages
-	}
-	path := strings.TrimSuffix(pass.Pkg.Path, ".test")
-	match := path == pass.Pkg.Module // module root emits results too
-	for _, suffix := range pkgs {
-		if strings.HasSuffix(path, suffix) {
-			match = true
-		}
-	}
-	if !match {
-		return
-	}
-	for _, f := range pass.Files() {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			block, ok := n.(*ast.BlockStmt)
-			if !ok {
-				return true
-			}
-			for _, esc := range mapEscapes(pass.Info, block) {
-				if esc.output {
-					pass.Reportf(esc.pos, "map iteration writes output in random order; collect and sort keys first")
-				} else {
-					pass.Reportf(esc.pos, "map iteration appends to %q in random order without a following sort; sort the slice (or range over sorted keys) before emitting results", esc.slice)
-				}
-			}
-			return true
-		})
-	}
-}
-
 // mapEscape is one map-range statement whose iteration order escapes: into
 // a slice (slice holds the appended variable's name) or into output writes
-// (output true). The call graph turns these into detersafe facts; MapIter
-// turns them into per-package diagnostics.
+// (output true), unless a later statement in the same block sorts the
+// collected slice. Go map iteration order is random per run, so such an
+// escape makes results nondeterministic across identical runs; the call
+// graph records each one as a detersafe fact.
 type mapEscape struct {
 	pos    token.Pos
 	slice  string
@@ -307,7 +204,3 @@ func isMapType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
 }
-
-// Files returns the package's parsed files (helper so analyzers read
-// pass.Files() uniformly).
-func (p *Pass) Files() []*ast.File { return p.Pkg.Files }

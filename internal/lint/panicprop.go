@@ -4,16 +4,18 @@ import (
 	"strings"
 )
 
-// PanicProp is the panicprop analyzer: it lifts the per-function
-// panic-in-library rule (panicfree) to call-graph reachability. An exported
-// library function or method is flagged when a builtin panic in some callee
-// is reachable from it through the call graph, outside the two sanctioned
-// conventions: the panicking path runs under a deferred recover, or it goes
-// through a MustX-named function (whose name is the documented
-// panic-on-error contract). Direct panics in the flagged function itself are
-// panicfree's per-function finding and are not repeated here.
+// PanicProp is the panicprop analyzer: library code must return errors, not
+// panic — a panic inside Discover or a generator takes down a whole serving
+// process. It reports two things, outside the two sanctioned conventions (the
+// panicking function runs under a deferred recover, or its MustX name
+// documents the panic as its contract):
 //
-// A //lint:ignore panic-in-library suppression on a panic site silences the
+//   - every direct builtin panic in non-test code, at the panic site;
+//   - every exported library function or method from which such a panic is
+//     reachable through the call graph, at its declaration.
+//
+// A direct panic in an exported function is reported once, at the panic
+// site. A //lint:ignore panicprop suppression on a panic site silences the
 // direct finding but does not stop propagation: callers of that function
 // still surface the reachability unless they are themselves suppressed or
 // behind a recover/MustX boundary.
@@ -24,7 +26,7 @@ func (PanicProp) Name() string { return "panicprop" }
 
 // Doc implements Analyzer.
 func (PanicProp) Doc() string {
-	return "exported API from which a panic is transitively reachable outside recover/MustX conventions"
+	return "panic in library code, or exported API from which one is transitively reachable, outside recover/MustX conventions"
 }
 
 // Run implements Analyzer; panicprop is interprocedural, see RunModule.
@@ -60,7 +62,13 @@ func (PanicProp) RunModule(mp *ModulePass) {
 	}
 
 	for _, n := range nodes {
-		if !n.Exported || n.Test || n.Main || isPanicAbsorber(n) {
+		if n.Test || isPanicAbsorber(n) {
+			continue
+		}
+		for _, pos := range n.Panics {
+			mp.Reportf(pos, "panic in library function %s; return an error or move the panic into a Must* constructor", n.Name)
+		}
+		if !n.Exported || n.Main {
 			continue
 		}
 		for _, e := range n.Out {

@@ -31,7 +31,8 @@ import (
 //
 // Every non-2xx response body is an ErrorJSON. Service errors map to
 // status codes: ErrBadRequest 400, ErrNotFound 404, ErrConflict 409,
-// ErrQueueFull 429 (with Retry-After), ErrDraining 503.
+// a request body over maxBodyBytes 413, ErrQueueFull 429 (with
+// Retry-After), ErrDraining 503.
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	obs.RegisterDebug(mux, s.opts.Registry, s.opts.Flight)
@@ -86,6 +87,8 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrConflict):
 		return http.StatusConflict
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
@@ -107,11 +110,22 @@ func (s *Service) fail(w http.ResponseWriter, err error) {
 	writeError(w, code, err)
 }
 
-// decodeBody strictly decodes a JSON request body into v.
-func decodeBody(req *http.Request, v any) error {
-	dec := json.NewDecoder(req.Body)
+// maxBodyBytes caps the bytes read from any request body. The largest
+// bodies the repository sends are far below it: 31,385 bytes for the
+// differential harness's largest ingest and 27,852 bytes for the benchmark's
+// 64-entity ingest batches.
+const maxBodyBytes = 8 << 20
+
+// decodeBody strictly decodes a JSON request body into v, reading at most
+// maxBodyBytes of it. A body that needs more is answered 413.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: limit %d bytes", err, tooLarge.Limit)
+		}
 		return fmt.Errorf("%w: invalid JSON body: %v", ErrBadRequest, err)
 	}
 	return nil
@@ -141,7 +155,7 @@ func (s *Service) handleListCorpora(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Service) handleCreateCorpus(w http.ResponseWriter, req *http.Request) {
 	var body CreateCorpusRequest
-	if err := decodeBody(req, &body); err != nil {
+	if err := decodeBody(w, req, &body); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -172,7 +186,7 @@ func (s *Service) handleDeleteCorpus(w http.ResponseWriter, req *http.Request) {
 
 func (s *Service) handleIngest(w http.ResponseWriter, req *http.Request) {
 	var body IngestRequest
-	if err := decodeBody(req, &body); err != nil {
+	if err := decodeBody(w, req, &body); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -196,7 +210,7 @@ func (s *Service) handlePartitions(w http.ResponseWriter, req *http.Request) {
 func (s *Service) handleDiscover(w http.ResponseWriter, req *http.Request) {
 	body := DiscoverRequest{}
 	if req.ContentLength != 0 {
-		if err := decodeBody(req, &body); err != nil {
+		if err := decodeBody(w, req, &body); err != nil {
 			s.fail(w, err)
 			return
 		}

@@ -113,6 +113,45 @@ func TestDebugRouteParity(t *testing.T) {
 	}
 }
 
+// TestIngestBodyOverLimit413 posts an ingest body one byte over
+// maxBodyBytes: it must be refused with 413 and an ErrorJSON body, and no
+// entity may be added. The same body one byte shorter is accepted, so the
+// limit sits exactly at maxBodyBytes.
+func TestIngestBodyOverLimit413(t *testing.T) {
+	svc, ts := newTestServer(t, Options{})
+	mkCorpus(t, ts.URL, "g", "scholar")
+	g := scholarGroup()
+	valid := ingestBody(t, g)
+	// Whitespace before the closing brace keeps the body valid JSON whose
+	// last byte the decoder must read.
+	padded := func(size int) []byte {
+		body := append([]byte{}, valid[:len(valid)-1]...)
+		body = append(body, bytes.Repeat([]byte(" "), size-len(valid))...)
+		return append(body, '}')
+	}
+	url := ts.URL + "/v1/corpora/g/entities"
+
+	code, resp, _ := doReq(t, http.MethodPost, url, padded(maxBodyBytes+1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit ingest: status %d, want 413: %.200s", code, resp)
+	}
+	var e ErrorJSON
+	if err := json.Unmarshal([]byte(resp), &e); err != nil || e.Error == "" {
+		t.Fatalf("over-limit ingest: body is not an ErrorJSON: %v: %.200s", err, resp)
+	}
+	if info, err := svc.GetCorpus("g"); err != nil || info.Entities != 0 {
+		t.Fatalf("over-limit ingest changed the corpus: %+v, %v", info, err)
+	}
+
+	code, resp, _ = doReq(t, http.MethodPost, url, padded(maxBodyBytes))
+	if code != http.StatusOK {
+		t.Fatalf("at-limit ingest: status %d, want 200: %.200s", code, resp)
+	}
+	if info, err := svc.GetCorpus("g"); err != nil || info.Entities != len(g.Entities) {
+		t.Fatalf("at-limit ingest: corpus %+v, %v; want %d entities", info, err, len(g.Entities))
+	}
+}
+
 // TestBackpressure429 drives the pool to capacity — one worker held by a
 // gated job, zero queue depth — and requires the next discover request to be
 // rejected with 429 and a Retry-After header rather than buffered or blocked.

@@ -27,6 +27,8 @@ echo "== go build ./..."
 go build ./...
 
 echo "== go vet ./..."
+# vet's copylocks check is the lock-copy gate: a struct holding a sync.Mutex,
+# WaitGroup or other lock passed, received or returned by value fails here.
 go vet ./...
 
 echo "== gofmt -l ."
@@ -37,24 +39,10 @@ if [[ -n "${unformatted}" ]]; then
     exit 1
 fi
 
-echo "== dimelint ./... (baseline: lint.baseline.json, budget: alloc.budget.json, lock baseline: lock.baseline.json)"
-# The allocation budget is the static half of the perf gate: dimelint fails
-# when a hot-path allocation site is added beyond alloc.budget.json. To
-# bootstrap a fresh budget (e.g. after deliberate optimization work removes
-# sites, or on a new checkout where the file is missing/empty), regenerate it
-# with:
-#     go run ./cmd/dimelint -write-alloc-budget alloc.budget.json ./...
-# and review the diff — shrinkage is a win to commit, growth needs a reason.
-# lock.baseline.json gates the locklint concurrency suite the same way and is
-# kept empty: a new lock-order inversion, blocking call under a held lock,
-# uncancellable goroutine or dropped context fails this step.
-go run ./cmd/dimelint -baseline lint.baseline.json -alloc-budget alloc.budget.json -lock-baseline lock.baseline.json ./...
-
-echo "== dimelint -only locklint ./... (concurrency-suite smoke)"
-# The narrowed run proves the locklint group alias and the -lock-baseline
-# split stay wired: it must see exactly the four concurrency analyzers and
-# report nothing new against the (empty) lock baseline.
-go run ./cmd/dimelint -only locklint -lock-baseline lock.baseline.json ./...
+echo "== dimelint ./... (baseline: lint.baseline.json)"
+# One baseline covers every analyzer and is kept empty: fix a finding or
+# carry a reasoned //lint:ignore instead of recording it.
+go run ./cmd/dimelint -baseline lint.baseline.json ./...
 
 echo "== go test -race ./..."
 go test -race ./...
