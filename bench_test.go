@@ -171,29 +171,18 @@ func scholarBenchGroup() (*datagen.ScholarOptions, *core.Options) {
 }
 
 // BenchmarkDIMEPlus is the primary end-to-end benchmark: one DIME+ run over
-// the standard 600-publication Scholar group. The nil-probe variant is the
-// production fast path (the observability budget requires it within 2% of an
-// uninstrumented build); the traced variant pays for a full recording span
-// tree per run; the flight-recorder variant is the always-on production
-// configuration (scripts/bench.sh gates it within 5% ns/op of nil-probe via
-// cmd/benchjson's overhead check).
+// the standard 600-publication Scholar group, as a pair. The nil-probe
+// variant is the production fast path (the observability budget requires it
+// within 2% of an uninstrumented build); the flight-recorder variant records
+// a full span tree per run with threshold 0, the recorder behind both
+// /debug/flight and `dime -trace` (scripts/bench.sh gates it within 5% ns/op
+// of nil-probe via cmd/benchjson's overhead check).
 func BenchmarkDIMEPlus(b *testing.B) {
 	gopts, opts := scholarBenchGroup()
 	g := datagen.Scholar(*gopts)
 	b.Run("nil-probe", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := core.DIMEPlus(g, *opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Stats.PositiveVerified), "verifications/op")
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := *opts
-			o.Probe = obs.NewTrace()
-			res, err := core.DIMEPlus(g, o)
 			if err != nil {
 				b.Fatal(err)
 			}

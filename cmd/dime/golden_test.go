@@ -1,7 +1,7 @@
 package main
 
 // Golden tests for the CLI's output paths: the scrollbar listing, -level,
-// -why, -stats (single group and batch), and the -trace JSON export. The
+// -why, -stats (single group and batch), and the -trace flight dump. The
 // input groups come from the deterministic synthetic generator, so the
 // expected text is stable across runs and platforms.
 
@@ -169,11 +169,17 @@ phase latency (s):
 	}
 }
 
-func TestTraceExport(t *testing.T) {
-	dir := t.TempDir()
-	in := singleGroupFile(t, dir)
-	tracePath := filepath.Join(dir, "trace.json")
-	_, stderr, code := runCLI(t, "-in", in, "-preset", "scholar", "-trace", tracePath)
+// pipelinePhases are the six spans every DIME+ run opens.
+var pipelinePhases = []string{
+	obs.PhaseRecordCompile, obs.PhaseSignatureBuild, obs.PhaseCandidateGen,
+	obs.PhasePositiveVerify, obs.PhaseNegativeFilter, obs.PhaseNegativeVerify,
+}
+
+// runTrace runs the CLI with -trace plus args and decodes the dump.
+func runTrace(t *testing.T, in string, args ...string) obs.FlightExport {
+	t.Helper()
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	_, stderr, code := runCLI(t, append([]string{"-in", in, "-preset", "scholar", "-trace", tracePath}, args...)...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
@@ -181,27 +187,109 @@ func TestTraceExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ex obs.TraceExport
+	var ex obs.FlightExport
 	if err := json.Unmarshal(data, &ex); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if ex.Version != 1 || ex.Tool != "dime" || len(ex.Runs) != 1 {
-		t.Fatalf("export header = %+v", ex)
+	return ex
+}
+
+// missingPhases returns the pipeline phases absent from tr's events.
+func missingPhases(tr *obs.FlightTrace) []string {
+	seen := map[string]bool{}
+	for _, ev := range tr.Events {
+		seen[ev.Name] = true
 	}
-	run := ex.Runs[0]
-	if run.Name != "dime+" {
-		t.Fatalf("run name = %q", run.Name)
-	}
-	for _, phase := range []string{
-		obs.PhaseRecordCompile, obs.PhaseSignatureBuild, obs.PhaseCandidateGen,
-		obs.PhasePositiveVerify, obs.PhaseNegativeFilter, obs.PhaseNegativeVerify,
-	} {
-		if run.Find(phase) == nil {
-			t.Errorf("trace missing phase %s", phase)
+	var missing []string
+	for _, phase := range pipelinePhases {
+		if !seen[phase] {
+			missing = append(missing, phase)
 		}
 	}
-	if run.Counter("candidates") == 0 {
+	return missing
+}
+
+// singleTrace runs -trace plus args over one group and returns its one
+// dime+ trace, checking the /debug/flight document header on the way.
+func singleTrace(t *testing.T, args ...string) *obs.FlightTrace {
+	t.Helper()
+	ex := runTrace(t, singleGroupFile(t, t.TempDir()), args...)
+	if ex.Version != 1 || ex.Tool != "dime-flight" || ex.Kept != 1 || len(ex.Traces) != 1 {
+		t.Fatalf("export header = %+v", ex)
+	}
+	tr := ex.Traces[0]
+	if tr.Name != "dime+" || len(tr.Events) == 0 || tr.Events[0].Name != "dime+" {
+		t.Fatalf("trace = %+v", tr)
+	}
+	return tr
+}
+
+// TestTraceExport checks that -trace writes the /debug/flight document with
+// all six phases and their counters.
+func TestTraceExport(t *testing.T) {
+	tr := singleTrace(t)
+	if missing := missingPhases(tr); len(missing) > 0 {
+		t.Errorf("trace missing phases %v", missing)
+	}
+	var candidates int64
+	for _, ev := range tr.Events {
+		for _, c := range ev.Counters {
+			if c.Name == "candidates" {
+				candidates += c.Value
+			}
+		}
+	}
+	if candidates == 0 {
 		t.Error("trace has no candidate counters")
+	}
+}
+
+// TestFlightExportCLI checks that -trace -flight-resources attributes heap
+// allocation deltas to the spans of the dump.
+func TestFlightExportCLI(t *testing.T) {
+	tr := singleTrace(t, "-flight-resources")
+	// -flight-resources attributes heap allocations to every span, root and
+	// phases alike. The counters come from runtime/metrics, which counts a
+	// small allocation when its P refills a cached span rather than when it
+	// happens, so one short phase (compiling 33 records) can read zero; the
+	// phases together allocate far more than a cached span holds.
+	if root := tr.Events[0]; root.AllocBytes == 0 || root.AllocObjects == 0 {
+		t.Errorf("dime+ root span has no allocation attribution: %+v", root)
+	}
+	var phaseBytes, phaseObjects uint64
+	for _, ev := range tr.Events[1:] {
+		phaseBytes += ev.AllocBytes
+		phaseObjects += ev.AllocObjects
+	}
+	if phaseBytes == 0 || phaseObjects == 0 {
+		t.Errorf("no phase span has allocation attribution: %+v", tr.Events[1:])
+	}
+}
+
+// TestTraceKeepsEveryRun runs a corpus with more groups than a default
+// recorder's 256-trace ring: -trace must still hold every group's run plus
+// the batch root.
+func TestTraceKeepsEveryRun(t *testing.T) {
+	groups := datagen.ScholarPages(300, 8, 0.1, 5)
+	ex := runTrace(t, writeGroupFile(t, t.TempDir(), "corpus.jsonl", groups...))
+	if want := int64(len(groups) + 1); ex.Kept != want || int64(len(ex.Traces)) != want {
+		t.Fatalf("kept %d, dumped %d traces, want %d of each", ex.Kept, len(ex.Traces), want)
+	}
+	batches := 0
+	for _, tr := range ex.Traces {
+		switch tr.Name {
+		case "batch":
+			batches++
+		case "dime+":
+			if missing := missingPhases(tr); len(missing) > 0 {
+				t.Errorf("trace of %v missing phases %v", tr.Attrs, missing)
+			}
+		default:
+			t.Errorf("unexpected run %q", tr.Name)
+		}
+	}
+	if batches != 1 {
+		t.Errorf("batch roots = %d, want 1", batches)
 	}
 }
 
@@ -255,77 +343,8 @@ func TestMetricsExport(t *testing.T) {
 	}
 }
 
-func TestFlightExportCLI(t *testing.T) {
-	dir := t.TempDir()
-	in := singleGroupFile(t, dir)
-	flightPath := filepath.Join(dir, "flight.json")
-	_, stderr, code := runCLI(t, "-in", in, "-preset", "scholar",
-		"-flight-out", flightPath, "-flight-resources")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	data, err := os.ReadFile(flightPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ex obs.FlightExport
-	if err := json.Unmarshal(data, &ex); err != nil {
-		t.Fatalf("flight dump is not valid JSON: %v", err)
-	}
-	if ex.Version != 1 || ex.Tool != "dime-flight" || ex.Kept != 1 || len(ex.Traces) != 1 {
-		t.Fatalf("export header = %+v", ex)
-	}
-	tr := ex.Traces[0]
-	if tr.Name != "dime+" || len(tr.Events) == 0 || tr.Events[0].Name != "dime+" {
-		t.Fatalf("trace = %+v", tr)
-	}
-	phases := map[string]bool{}
-	for _, ev := range tr.Events {
-		phases[ev.Name] = true
-	}
-	for _, phase := range []string{
-		obs.PhaseRecordCompile, obs.PhaseSignatureBuild, obs.PhaseCandidateGen,
-		obs.PhasePositiveVerify, obs.PhaseNegativeFilter, obs.PhaseNegativeVerify,
-	} {
-		if !phases[phase] {
-			t.Errorf("flight trace missing phase %s", phase)
-		}
-	}
-	// -flight-resources attributes heap allocations to every span, root and
-	// phases alike. The counters come from runtime/metrics, which counts a
-	// small allocation when its P refills a cached span rather than when it
-	// happens, so one short phase (compiling 33 records) can read zero; the
-	// phases together allocate far more than a cached span holds.
-	if root := tr.Events[0]; root.AllocBytes == 0 || root.AllocObjects == 0 {
-		t.Errorf("dime+ root span has no allocation attribution: %+v", root)
-	}
-	var phaseBytes, phaseObjects uint64
-	for _, ev := range tr.Events[1:] {
-		phaseBytes += ev.AllocBytes
-		phaseObjects += ev.AllocObjects
-	}
-	if phaseBytes == 0 || phaseObjects == 0 {
-		t.Errorf("no phase span has allocation attribution: %+v", tr.Events[1:])
-	}
-}
-
 func TestFlightThresholdDropsFastRuns(t *testing.T) {
-	dir := t.TempDir()
-	in := singleGroupFile(t, dir)
-	flightPath := filepath.Join(dir, "flight.json")
-	_, stderr, code := runCLI(t, "-in", in, "-preset", "scholar",
-		"-flight-out", flightPath, "-flight-threshold", "1h")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	data, err := os.ReadFile(flightPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ex obs.FlightExport
-	if err := json.Unmarshal(data, &ex); err != nil {
-		t.Fatalf("flight dump is not valid JSON: %v", err)
-	}
+	ex := runTrace(t, singleGroupFile(t, t.TempDir()), "-flight-threshold", "1h")
 	if ex.Kept != 0 || ex.Dropped != 1 || len(ex.Traces) != 0 {
 		t.Fatalf("1h threshold should drop the run: %+v", ex)
 	}

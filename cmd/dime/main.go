@@ -20,15 +20,16 @@
 // witness, and with -stats the work counters (for corpora, the batch
 // aggregate with wall time and worker count).
 //
-// Observability: -trace FILE writes a JSON span tree of every pipeline phase
-// with timings and work counters; -log emits one structured log line per
-// completed phase to stderr; -serve-debug ADDR serves /debug/pprof/,
-// /debug/vars, /debug/flight and a Prometheus-format /metrics for the
-// duration of the run and then waits for ctrl-c so the endpoints can be
-// inspected. -metrics-out FILE writes the final Prometheus text snapshot;
-// -flight-out FILE dumps the flight recorder (ring buffer of recent runs,
-// tail-retained above -flight-threshold, with per-span heap-allocation
-// deltas under -flight-resources). With -stats, phase-latency quantiles
+// Observability: -trace FILE writes the flight-recorder dump, the
+// /debug/flight JSON format: one flattened span tree per run with every
+// pipeline phase, its timings and work counters, and every run of the input
+// kept. -flight-threshold drops runs shorter than the bound, and
+// -flight-resources attaches per-span heap-allocation deltas. -log emits one
+// structured log line per completed phase to stderr; -serve-debug ADDR
+// serves /debug/pprof/, /debug/vars, /debug/flight (the same recorder) and a
+// Prometheus-format /metrics for the duration of the run and then waits for
+// ctrl-c so the endpoints can be inspected. -metrics-out FILE writes the
+// final Prometheus text snapshot. With -stats, phase-latency quantiles
 // (p50/p90/p99, interpolated from fixed-bucket histograms) follow the work
 // counters.
 package main
@@ -87,13 +88,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		learn      = fs.String("learn", "", "learn a rule set from the group's ground truth and write it to this file")
 		profile    = fs.Bool("profile", false, "profile the group's attributes (coverage, token shape, separability) and exit")
 		intra      = fs.Int("intra-workers", 0, "worker goroutines within each DIME+ run (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		traceFile  = fs.String("trace", "", "write a JSON span trace of the run to this file")
+		traceFile  = fs.String("trace", "", "write the flight-recorder dump of every run (the /debug/flight JSON format) to this file")
 		logSpans   = fs.Bool("log", false, "emit one structured log line per completed phase to stderr")
 		serveDebug = fs.String("serve-debug", "", "serve /debug/pprof/, /debug/vars, /debug/flight and /metrics on this address (e.g. :6060)")
 		metricsOut = fs.String("metrics-out", "", "write the final metrics snapshot in Prometheus text format to this file")
-		flightOut  = fs.String("flight-out", "", "write the flight-recorder dump (recent retained runs) as JSON to this file")
-		flightThr  = fs.Duration("flight-threshold", 0, "flight recorder keeps only runs at least this long (0 keeps all)")
-		flightRes  = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to flight-recorder events")
+		flightThr  = fs.Duration("flight-threshold", 0, "-trace and /debug/flight keep only runs at least this long (0 keeps all)")
+		flightRes  = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to -trace and /debug/flight events")
 		pos        stringsFlag
 		neg        stringsFlag
 	)
@@ -110,20 +110,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Observability wiring: any combination of a JSON trace, per-span logs,
-	// the metrics registry (behind the debug server and/or -metrics-out and
-	// -stats quantiles), and the flight recorder.
+	groups, err := loadGroups(*in, *csvID, *csvSep)
+	if err != nil {
+		fmt.Fprintf(stderr, "dime: %v\n", err)
+		return 1
+	}
+
+	// Observability wiring: any combination of per-span logs, the metrics
+	// registry (behind the debug server and/or -metrics-out and -stats
+	// quantiles), and the flight recorder (behind -trace and the debug
+	// server).
 	var (
-		tr     *obs.Trace
 		reg    *obs.Registry
 		fr     *obs.FlightRecorder
 		probes []obs.Probe
 		srv    *obs.DebugServer
 	)
-	if *traceFile != "" {
-		tr = obs.NewTrace()
-		probes = append(probes, tr)
-	}
 	if *logSpans {
 		probes = append(probes, obs.Logged(obs.NewLogger(stderr, slog.LevelInfo), slog.LevelInfo))
 	}
@@ -137,12 +139,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if reg != nil {
 		probes = append(probes, obs.Observer(reg))
 	}
-	if *flightOut != "" || *serveDebug != "" || *flightThr > 0 || *flightRes {
-		fr = obs.NewFlightRecorder(obs.FlightOptions{Threshold: *flightThr, Resources: *flightRes})
+	if *traceFile != "" || *serveDebug != "" {
+		// Room for a run per group plus the batch root (or the two
+		// rule-generation passes of -learn) in one shard keeps every run;
+		// several shards would split that room by start time, unevenly.
+		fr = obs.NewFlightRecorder(obs.FlightOptions{
+			Shards: 1, Capacity: len(groups) + 2, Threshold: *flightThr, Resources: *flightRes,
+		})
 		probes = append(probes, fr)
 	}
 	if *serveDebug != "" {
-		var err error
 		if srv, err = obs.ServeDebug(*serveDebug, reg, fr); err != nil {
 			fmt.Fprintf(stderr, "dime: %v\n", err)
 			return 1
@@ -151,8 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	probe := obs.Multi(probes...)
 
-	code := runInput(stdout, stderr, probe, cliArgs{
-		in: *in, csvID: *csvID, csvSep: *csvSep,
+	code := runInput(stdout, stderr, probe, groups, cliArgs{
 		preset: *preset, rulesFile: *rulesFile, ontoFile: *ontoFile,
 		treeAttrs: treeAttrs, pos: pos, neg: neg,
 		level: *level, basic: *basic, stats: *stats, why: *why,
@@ -160,15 +165,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg: reg,
 	})
 
-	if tr != nil {
-		f, err := os.Create(*traceFile)
-		if err == nil {
-			err = tr.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+	if *traceFile != "" {
+		if err := writeFileWith(*traceFile, fr.WriteJSON); err != nil {
 			fmt.Fprintf(stderr, "dime: writing trace: %v\n", err)
 			if code == 0 {
 				code = 1
@@ -178,14 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metricsOut != "" {
 		if err := writeFileWith(*metricsOut, reg.WritePrometheus); err != nil {
 			fmt.Fprintf(stderr, "dime: writing metrics: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if *flightOut != "" {
-		if err := writeFileWith(*flightOut, fr.WriteJSON); err != nil {
-			fmt.Fprintf(stderr, "dime: writing flight dump: %v\n", err)
 			if code == 0 {
 				code = 1
 			}
@@ -202,7 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // cliArgs carries the parsed flags into the execution paths.
 type cliArgs struct {
-	in, csvID, csvSep           string
 	preset, rulesFile, ontoFile string
 	treeAttrs, pos, neg         []string
 	level                       int
@@ -229,14 +218,10 @@ func writeFileWith(path string, dump func(io.Writer) error) error {
 }
 
 // runInput dispatches to the profile / learn / corpus / single-group paths.
-func runInput(stdout, stderr io.Writer, probe obs.Probe, c cliArgs) int {
+func runInput(stdout, stderr io.Writer, probe obs.Probe, groups []*entity.Group, c cliArgs) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "dime: %v\n", err)
 		return 1
-	}
-	groups, err := loadGroups(c.in, c.csvID, c.csvSep)
-	if err != nil {
-		return fail(err)
 	}
 	if len(groups) > 1 && !c.profile && c.learn == "" {
 		cfg, rs, err := resolveRules(groups[0], c.preset, c.rulesFile, c.ontoFile, c.treeAttrs, c.pos, c.neg)

@@ -200,15 +200,11 @@ type (
 	Probe = obs.Probe
 	// Span is one timed phase with counters.
 	Span = obs.Span
-	// Trace is a recording probe that builds an exportable JSON span tree.
-	Trace = obs.Trace
-	// TraceSpan is one recorded span of a Trace.
-	TraceSpan = obs.TraceSpan
 	// DebugServer is the HTTP server ServeDebug starts.
 	DebugServer = obs.DebugServer
-	// FlightRecorder is the always-on probe: a fixed-size ring of recent
+	// FlightRecorder is the recording probe: a fixed-size ring of recent
 	// span traces with tail-based latency retention, dumped at
-	// /debug/flight and by FlightRecorder.WriteJSON.
+	// /debug/flight, by `dime -trace` and by FlightRecorder.WriteJSON.
 	FlightRecorder = obs.FlightRecorder
 	// FlightOptions configures a FlightRecorder.
 	FlightOptions = obs.FlightOptions
@@ -218,16 +214,16 @@ type (
 	FlightEvent = obs.FlightEvent
 )
 
-// NewTrace returns an empty recording probe; pass it as Options.Probe and
-// call Trace.WriteJSON (or Trace.Export) once the run finishes.
-func NewTrace() *Trace { return obs.NewTrace() }
-
 // MultiProbe fans spans out to several probes at once; nil entries are
 // dropped, and with no live probes it returns nil (uninstrumented).
 func MultiProbe(probes ...Probe) Probe { return obs.Multi(probes...) }
 
 // NewFlightRecorder builds a flight recorder; pass it as Options.Probe
-// (possibly via MultiProbe) to keep the most recent slow runs inspectable.
+// (possibly via MultiProbe) to keep the most recent slow runs inspectable,
+// and call FlightRecorder.WriteJSON (or Export) once the runs finish. The
+// zero FlightOptions keep at most the newest 256 runs; to keep every run,
+// set Shards to 1 and Capacity to at least the number of runs (several
+// shards split the capacity and fill unevenly).
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder { return obs.NewFlightRecorder(opts) }
 
 // ServeDebug starts an HTTP server on addr exposing /debug/pprof/,

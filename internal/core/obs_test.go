@@ -15,6 +15,72 @@ import (
 	"dime/internal/presets"
 )
 
+// The flight recorder flattens each run's span tree into pre-order events
+// with depths. The span at event i covers events i up to the next event at
+// depth ≤ its own; its children are the depth+1 events in that range.
+
+// spanEnd returns the index one past the last descendant of event i.
+func spanEnd(evs []obs.FlightEvent, i int) int {
+	j := i + 1
+	for j < len(evs) && evs[j].Depth > evs[i].Depth {
+		j++
+	}
+	return j
+}
+
+// childrenOf returns the indexes of event i's direct children, in order.
+func childrenOf(evs []obs.FlightEvent, i int) []int {
+	var out []int
+	for j, end := i+1, spanEnd(evs, i); j < end; j++ {
+		if evs[j].Depth == evs[i].Depth+1 {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// findAll returns the indexes of event i's descendants named name, in
+// pre-order.
+func findAll(evs []obs.FlightEvent, i int, name string) []int {
+	var out []int
+	for j, end := i+1, spanEnd(evs, i); j < end; j++ {
+		if evs[j].Name == name {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// ownCounter returns the named counter recorded on ev itself.
+func ownCounter(ev obs.FlightEvent, name string) int64 {
+	for _, c := range ev.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// counterSum returns the named counter summed over event i and every
+// descendant.
+func counterSum(evs []obs.FlightEvent, i int, name string) int64 {
+	var total int64
+	for j, end := i, spanEnd(evs, i); j < end; j++ {
+		total += ownCounter(evs[j], name)
+	}
+	return total
+}
+
+// attrOf returns ev's value for key, or "".
+func attrOf(ev obs.FlightEvent, key string) string {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // TestDIMEPlusProbeObservesPhases checks the tentpole contract: a recording
 // probe sees all six pipeline phases under one run span, nested and ordered
 // the way the algorithm executes them, with counters that agree exactly with
@@ -27,8 +93,8 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := obs.NewTrace()
-	opts.Probe = tr
+	fr := obs.NewFlightRecorder(obs.FlightOptions{})
+	opts.Probe = fr
 	res, err := DIMEPlus(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +110,12 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 		t.Fatalf("probe changed levels: %+v vs %+v", res.Levels, base.Levels)
 	}
 
-	runs := tr.Runs()
+	runs := fr.Snapshot()
 	if len(runs) != 1 {
 		t.Fatalf("runs = %d, want 1", len(runs))
 	}
-	run := runs[0]
-	if run.Name != "dime+" || run.Attrs["group"] != g.Name {
+	evs := runs[0].Events
+	if run := evs[0]; run.Name != "dime+" || attrOf(run, "group") != g.Name {
 		t.Fatalf("run = %q attrs %v", run.Name, run.Attrs)
 	}
 
@@ -63,8 +129,8 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 		wantOrder = append(wantOrder, obs.PhaseNegativeFilter, obs.PhaseNegativeVerify)
 	}
 	var gotOrder []string
-	for _, c := range run.Children {
-		gotOrder = append(gotOrder, c.Name)
+	for _, c := range childrenOf(evs, 0) {
+		gotOrder = append(gotOrder, evs[c].Name)
 	}
 	if !reflect.DeepEqual(gotOrder, wantOrder) {
 		t.Fatalf("phase order = %v, want %v", gotOrder, wantOrder)
@@ -72,43 +138,44 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 
 	// Nesting: signature-build holds one child per positive rule; the
 	// negative spans carry the rule name in application order.
-	sb := run.Find(obs.PhaseSignatureBuild)
-	if len(sb.Children) != len(opts.Rules.Positive) {
-		t.Fatalf("signature-build children = %d, want %d", len(sb.Children), len(opts.Rules.Positive))
+	sb := childrenOf(evs, findAll(evs, 0, obs.PhaseSignatureBuild)[0])
+	if len(sb) != len(opts.Rules.Positive) {
+		t.Fatalf("signature-build children = %d, want %d", len(sb), len(opts.Rules.Positive))
 	}
-	for i, c := range sb.Children {
-		if c.Attrs["rule"] != opts.Rules.Positive[i].Name {
-			t.Fatalf("signature-build child %d rule = %q", i, c.Attrs["rule"])
+	for i, c := range sb {
+		if rule := attrOf(evs[c], "rule"); rule != opts.Rules.Positive[i].Name {
+			t.Fatalf("signature-build child %d rule = %q", i, rule)
 		}
 	}
-	for i, span := range run.FindAll(obs.PhaseNegativeFilter) {
-		if span.Attrs["rule"] != opts.Rules.Negative[i].Name {
-			t.Fatalf("negative-filter %d rule = %q", i, span.Attrs["rule"])
+	for i, span := range findAll(evs, 0, obs.PhaseNegativeFilter) {
+		if rule := attrOf(evs[span], "rule"); rule != opts.Rules.Negative[i].Name {
+			t.Fatalf("negative-filter %d rule = %q", i, rule)
 		}
 	}
-	for i, span := range run.FindAll(obs.PhaseNegativeVerify) {
-		if span.Attrs["rule"] != opts.Rules.Negative[i].Name {
-			t.Fatalf("negative-verify %d rule = %q", i, span.Attrs["rule"])
+	for i, span := range findAll(evs, 0, obs.PhaseNegativeVerify) {
+		if rule := attrOf(evs[span], "rule"); rule != opts.Rules.Negative[i].Name {
+			t.Fatalf("negative-verify %d rule = %q", i, rule)
 		}
 	}
 
 	// Counters agree with Stats, both in total and per rule.
 	st := res.Stats
+	pv := findAll(evs, 0, obs.PhasePositiveVerify)[0]
 	checks := []struct {
 		name string
 		got  int64
 		want int64
 	}{
-		{"candidates", run.Counter("candidates"), st.PositivePairsConsidered},
-		{"verified (positive)", run.Find(obs.PhasePositiveVerify).Counter("verified"), st.PositiveVerified},
-		{"skipped-transitivity", run.Counter("skipped-transitivity"), st.PositiveSkippedByTransitivity},
-		{"partitions-filtered", run.Counter("partitions-filtered"), st.PartitionsFilteredBySignature},
-		{"certain-pairs", run.Counter("certain-pairs"), st.CertainPairsBySignature},
-		{"records", run.Counter("records"), int64(len(g.Entities))},
+		{"candidates", counterSum(evs, 0, "candidates"), st.PositivePairsConsidered},
+		{"verified (positive)", counterSum(evs, pv, "verified"), st.PositiveVerified},
+		{"skipped-transitivity", counterSum(evs, 0, "skipped-transitivity"), st.PositiveSkippedByTransitivity},
+		{"partitions-filtered", counterSum(evs, 0, "partitions-filtered"), st.PartitionsFilteredBySignature},
+		{"certain-pairs", counterSum(evs, 0, "certain-pairs"), st.CertainPairsBySignature},
+		{"records", counterSum(evs, 0, "records"), int64(len(g.Entities))},
 	}
 	var negVerified int64
-	for _, span := range run.FindAll(obs.PhaseNegativeVerify) {
-		negVerified += span.Counters["verified"]
+	for _, span := range findAll(evs, 0, obs.PhaseNegativeVerify) {
+		negVerified += ownCounter(evs[span], "verified")
 	}
 	checks = append(checks, struct {
 		name string
@@ -122,14 +189,14 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 	}
 	var perRule int64
 	for _, r := range opts.Rules.Positive {
-		perRule += run.Counter("verified/" + r.Name)
+		perRule += counterSum(evs, 0, "verified/"+r.Name)
 	}
 	if perRule != st.PositiveVerified {
 		t.Errorf("per-rule verified sum = %d, want %d", perRule, st.PositiveVerified)
 	}
 	var perRuleCands int64
 	for _, r := range opts.Rules.Positive {
-		perRuleCands += run.Counter("candidates/" + r.Name)
+		perRuleCands += counterSum(evs, 0, "candidates/"+r.Name)
 	}
 	if perRuleCands != st.PositivePairsConsidered {
 		t.Errorf("per-rule candidates sum = %d, want %d", perRuleCands, st.PositivePairsConsidered)
@@ -137,19 +204,16 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 
 	// Every recorded span was ended (duration fixed) and starts no earlier
 	// than its parent.
-	var walk func(p, s *obs.TraceSpan)
-	walk = func(p, s *obs.TraceSpan) {
-		if s.DurNS < 0 {
-			t.Errorf("span %s has negative duration", s.Name)
+	for i, ev := range evs {
+		if ev.DurNS < 0 {
+			t.Errorf("span %s has negative duration", ev.Name)
 		}
-		if p != nil && s.StartNS < p.StartNS {
-			t.Errorf("span %s starts before parent %s", s.Name, p.Name)
-		}
-		for _, c := range s.Children {
-			walk(s, c)
+		for _, c := range childrenOf(evs, i) {
+			if evs[c].StartNS < ev.StartNS {
+				t.Errorf("span %s starts before parent %s", evs[c].Name, ev.Name)
+			}
 		}
 	}
-	walk(nil, run)
 }
 
 // TestDIMEProbeObservesPhases checks the basic algorithm's slimmer span set:
@@ -158,29 +222,29 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 func TestDIMEProbeObservesPhases(t *testing.T) {
 	g := fixtures.Figure1Group()
 	opts := paperOptions()
-	tr := obs.NewTrace()
-	opts.Probe = tr
+	fr := obs.NewFlightRecorder(obs.FlightOptions{})
+	opts.Probe = fr
 	res, err := DIME(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := tr.Runs()
+	runs := fr.Snapshot()
 	if len(runs) != 1 || runs[0].Name != "dime" {
 		t.Fatalf("runs = %+v", runs)
 	}
-	run := runs[0]
+	evs := runs[0].Events
 	wantOrder := []string{obs.PhaseRecordCompile, obs.PhasePositiveVerify}
 	for range opts.Rules.Negative {
 		wantOrder = append(wantOrder, obs.PhaseNegativeVerify)
 	}
 	var gotOrder []string
-	for _, c := range run.Children {
-		gotOrder = append(gotOrder, c.Name)
+	for _, c := range childrenOf(evs, 0) {
+		gotOrder = append(gotOrder, evs[c].Name)
 	}
 	if !reflect.DeepEqual(gotOrder, wantOrder) {
 		t.Fatalf("phase order = %v, want %v", gotOrder, wantOrder)
 	}
-	if got := run.Counter("verified"); got != res.Stats.PositiveVerified+res.Stats.NegativeVerified {
+	if got := counterSum(evs, 0, "verified"); got != res.Stats.PositiveVerified+res.Stats.NegativeVerified {
 		t.Errorf("verified = %d, want %d", got, res.Stats.PositiveVerified+res.Stats.NegativeVerified)
 	}
 }
@@ -195,8 +259,8 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 	g.Entities = g.Entities[:len(g.Entities)-1]
 
 	opts := paperOptions()
-	tr := obs.NewTrace()
-	opts.Probe = tr
+	fr := obs.NewFlightRecorder(obs.FlightOptions{})
+	opts.Probe = fr
 	s, err := NewSession(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +273,7 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runs := tr.Runs()
+	runs := fr.Snapshot()
 	var names []string
 	for _, r := range runs {
 		names = append(names, r.Name)
@@ -221,14 +285,9 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 
 	seen := make(map[string]bool)
 	for _, r := range runs {
-		var mark func(s *obs.TraceSpan)
-		mark = func(s *obs.TraceSpan) {
-			seen[s.Name] = true
-			for _, c := range s.Children {
-				mark(c)
-			}
+		for _, ev := range r.Events {
+			seen[ev.Name] = true
 		}
-		mark(r)
 	}
 	for _, phase := range []string{
 		obs.PhaseRecordCompile, obs.PhaseSignatureBuild, obs.PhaseCandidateGen,
@@ -241,9 +300,9 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 
 	var candidates, verified int64
 	for _, r := range runs {
-		candidates += r.Counter("candidates")
-		if pv := r.Find(obs.PhasePositiveVerify); pv != nil {
-			verified += pv.Counter("verified")
+		candidates += counterSum(r.Events, 0, "candidates")
+		if pv := findAll(r.Events, 0, obs.PhasePositiveVerify); len(pv) > 0 {
+			verified += counterSum(r.Events, pv[0], "verified")
 		}
 	}
 	if candidates != res.Stats.PositivePairsConsidered {

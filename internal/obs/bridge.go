@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"sync/atomic"
 	"time"
 )
 
@@ -108,20 +107,7 @@ func (s *logSpan) End() {
 }
 
 // NewLogger builds a text slog.Logger writing to w at the given level, the
-// logger the CLI tools pass to Logged and to WithRun.
+// logger the CLI tools pass to Logged.
 func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
-}
-
-var runSeq atomic.Int64
-
-// WithRun scopes a logger to one discovery run: a process-unique run id plus
-// the algorithm and group names, so interleaved batch-worker lines group
-// cleanly.
-func WithRun(l *slog.Logger, algo, group string) *slog.Logger {
-	return l.With(
-		slog.Int64("run", runSeq.Add(1)),
-		slog.String("algo", algo),
-		slog.String("group", group),
-	)
 }

@@ -99,14 +99,8 @@ func (s *DebugServer) Close() error { return s.srv.Close() }
 
 // ServeDebug binds addr (e.g. ":6060", "127.0.0.1:0") and serves DebugMux in
 // a background goroutine, so long batch and experiment runs can be profiled
-// live. It publishes the registry to expvar under "dime" first, so
-// /debug/vars carries the same numbers as /metrics. A nil registry uses
-// Default(); a nil recorder uses DefaultFlight().
+// live. A nil registry uses Default(); a nil recorder uses DefaultFlight().
 func ServeDebug(addr string, r *Registry, fr *FlightRecorder) (*DebugServer, error) {
-	if r == nil {
-		r = Default()
-	}
-	r.PublishExpvar("dime")
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug server: %w", err)

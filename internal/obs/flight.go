@@ -302,7 +302,7 @@ func (fr *FlightRecorder) Export() *FlightExport {
 	}
 }
 
-// WriteJSON writes the indented JSON export — the `dime -flight-out` format,
+// WriteJSON writes the indented JSON export — the `dime -trace` format,
 // also served at /debug/flight.
 func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(fr.Export(), "", "  ")

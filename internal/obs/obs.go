@@ -12,18 +12,17 @@
 // no-op span, so an uninstrumented run pays a nil check per phase boundary
 // and nothing per pair.
 //
-// Four probe implementations ship here:
+// Three probe implementations ship here:
 //
-//   - Trace records a span tree with monotonic timings, exportable as JSON
-//     (`dime -trace out.json`) and diffable across commits;
+//   - FlightRecorder records each run as a flattened span tree with
+//     monotonic timings and counters, keeping the most recent runs in a
+//     sharded lock-free ring with tail-based retention (dumped at
+//     /debug/flight and by `dime -trace out.json`), optionally attributing
+//     heap-allocation deltas to every span;
 //   - Observer feeds span durations and counters into a Registry of
 //     counters, gauges and fixed-bucket latency histograms with
 //     interpolated p50/p90/p99 quantiles, exported via expvar and in
 //     Prometheus text format at the /metrics endpoint of ServeDebug;
-//   - FlightRecorder keeps the most recent slow runs in a sharded
-//     lock-free ring with tail-based retention (dumped at /debug/flight
-//     and by `dime -flight-out`), optionally attributing heap-allocation
-//     deltas to every span;
 //   - Logged emits one slog record per completed span.
 //
 // Multi fans a run out to several probes at once. All wall-clock and

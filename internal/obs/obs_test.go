@@ -22,22 +22,24 @@ func TestStartNilProbeIsNop(t *testing.T) {
 }
 
 func TestMultiFansOut(t *testing.T) {
-	t1, t2 := NewTrace(), NewTrace()
-	p := Multi(nil, t1, nil, t2)
+	f1 := NewFlightRecorder(FlightOptions{})
+	f2 := NewFlightRecorder(FlightOptions{})
+	p := Multi(nil, f1, nil, f2)
 	run := Start(p, "run")
 	run.StartSpan("phase").End()
 	run.Count("n", 3)
 	run.End()
-	for i, tr := range []*Trace{t1, t2} {
-		runs := tr.Runs()
-		if len(runs) != 1 || runs[0].Name != "run" {
-			t.Fatalf("trace %d: runs = %+v", i, runs)
+	for i, fr := range []*FlightRecorder{f1, f2} {
+		traces := fr.Snapshot()
+		if len(traces) != 1 || traces[0].Name != "run" {
+			t.Fatalf("recorder %d: traces = %+v", i, traces)
 		}
-		if len(runs[0].Children) != 1 || runs[0].Children[0].Name != "phase" {
-			t.Fatalf("trace %d: children = %+v", i, runs[0].Children)
+		evs := traces[0].Events
+		if len(evs) != 2 || evs[1].Name != "phase" || evs[1].Depth != 1 {
+			t.Fatalf("recorder %d: events = %+v", i, evs)
 		}
-		if runs[0].Counters["n"] != 3 {
-			t.Fatalf("trace %d: counter = %d", i, runs[0].Counters["n"])
+		if cs := evs[0].Counters; len(cs) != 1 || cs[0] != (FlightCounter{Name: "n", Value: 3}) {
+			t.Fatalf("recorder %d: root counters = %+v", i, cs)
 		}
 	}
 }
@@ -46,8 +48,8 @@ func TestMultiCollapses(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Fatal("Multi with no live probes must be nil")
 	}
-	tr := NewTrace()
-	if got := Multi(nil, tr); got != Probe(tr) {
+	fr := NewFlightRecorder(FlightOptions{})
+	if got := Multi(nil, fr); got != Probe(fr) {
 		t.Fatalf("Multi with one live probe should return it, got %v", got)
 	}
 }
@@ -69,17 +71,5 @@ func TestLoggedEmitsSpans(t *testing.T) {
 	}
 	if Logged(nil, slog.LevelInfo) != nil {
 		t.Fatal("Logged(nil) must be nil")
-	}
-}
-
-func TestWithRunScopesAttrs(t *testing.T) {
-	var buf bytes.Buffer
-	l := WithRun(NewLogger(&buf, slog.LevelInfo), "dime+", "page-1")
-	l.Info("hello")
-	out := buf.String()
-	for _, want := range []string{"run=", "algo=dime+", "group=page-1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scoped log missing %q:\n%s", want, out)
-		}
 	}
 }

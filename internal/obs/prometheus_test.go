@@ -6,20 +6,20 @@ import (
 )
 
 func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("dime.positive-verify.verified").Add(27)
-	r.Gauge("dime.workers").Set(4)
-	h := r.Histogram("dime.phase.candidate-gen.seconds", []float64{0.001, 0.01, 0.1})
-	h.Observe(0.0005)
-	h.Observe(0.005)
-	h.Observe(0.005)
-	h.Observe(5)
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `# TYPE dime_positive_verify_verified counter
+	for _, tc := range []struct {
+		name     string
+		register func(r *Registry)
+		want     string
+	}{
+		{"every kind", func(r *Registry) {
+			r.Counter("dime.positive-verify.verified").Add(27)
+			r.Gauge("dime.workers").Set(4)
+			h := r.Histogram("dime.phase.candidate-gen.seconds", []float64{0.001, 0.01, 0.1})
+			h.Observe(0.0005)
+			h.Observe(0.005)
+			h.Observe(0.005)
+			h.Observe(5)
+		}, `# TYPE dime_positive_verify_verified counter
 dime_positive_verify_verified 27
 # TYPE dime_workers gauge
 dime_workers 4
@@ -30,9 +30,27 @@ dime_phase_candidate_gen_seconds_bucket{le="0.1"} 3
 dime_phase_candidate_gen_seconds_bucket{le="+Inf"} 4
 dime_phase_candidate_gen_seconds_sum 5.0105
 dime_phase_candidate_gen_seconds_count 4
-`
-	if got := sb.String(); got != want {
-		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+`},
+		{"sorted by name", func(r *Registry) {
+			r.Counter("z.count").Add(9)
+			r.Counter("a.count").Add(1)
+		}, `# TYPE a_count counter
+a_count 1
+# TYPE z_count counter
+z_count 9
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			tc.register(r)
+			var sb strings.Builder
+			if err := r.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if got := sb.String(); got != tc.want {
+				t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"expvar"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -13,8 +11,8 @@ import (
 
 // Registry is a process-wide metrics store: named counters, gauges and
 // fixed-bucket histograms, all updated with atomics so hot paths never take
-// a lock. It snapshots to expvar (PublishExpvar) and dumps as sorted
-// plaintext for the /metrics endpoint of ServeDebug.
+// a lock. It snapshots to expvar (PublishExpvar) and dumps in Prometheus
+// text format (WritePrometheus) for the /metrics endpoint of ServeDebug.
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
@@ -293,59 +291,6 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// WriteText dumps the registry as sorted plaintext, one metric per line:
-// counters and gauges as `name value`, histograms as `name.count`,
-// `name.sum` and cumulative `name.le.<bound>` lines. The format is for
-// humans and scrapers of the /metrics endpoint; it is not a stable API.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	counters := make([]named[*Counter], 0, len(r.counters))
-	for name, c := range r.counters {
-		counters = append(counters, named[*Counter]{name, c})
-	}
-	gauges := make([]named[*Gauge], 0, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges = append(gauges, named[*Gauge]{name, g})
-	}
-	hists := make([]named[*Histogram], 0, len(r.hists))
-	for name, h := range r.hists {
-		hists = append(hists, named[*Histogram]{name, h})
-	}
-	r.mu.Unlock()
-	sort.Slice(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "%s %d\n", c.name, c.v.Value()); err != nil {
-			return err
-		}
-	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "%s %g\n", g.name, g.v.Value()); err != nil {
-			return err
-		}
-	}
-	for _, hs := range hists {
-		bounds, counts := hs.v.Buckets()
-		if _, err := fmt.Fprintf(w, "%s.count %d\n%s.sum %g\n", hs.name, hs.v.Count(), hs.name, hs.v.Sum()); err != nil {
-			return err
-		}
-		cum := int64(0)
-		for i, n := range counts {
-			cum += n
-			le := "+Inf"
-			if i < len(bounds) {
-				le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
-			}
-			if _, err := fmt.Fprintf(w, "%s.le.%s %d\n", hs.name, le, cum); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // PublishExpvar publishes the registry under the given expvar name (once;

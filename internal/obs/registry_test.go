@@ -60,36 +60,6 @@ func TestRegistryDefaultBucketsAndUnsortedBounds(t *testing.T) {
 	}
 }
 
-func TestRegistryWriteTextSortedAndComplete(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z.count").Add(9)
-	r.Counter("a.count").Add(1)
-	r.Gauge("m.gauge").Set(3)
-	r.Histogram("lat", []float64{1}).Observe(0.5)
-	r.Histogram("lat", nil).Observe(2)
-
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	wantLines := []string{
-		"a.count 1",
-		"z.count 9",
-		"m.gauge 3",
-		"lat.count 2",
-		"lat.sum 2.5",
-		"lat.le.1 1",
-		"lat.le.+Inf 2",
-	}
-	for i, want := range wantLines {
-		if lines[i] != want {
-			t.Fatalf("line %d = %q, want %q\nfull dump:\n%s", i, lines[i], want, out)
-		}
-	}
-}
-
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(7)
@@ -125,7 +95,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 	var sb strings.Builder
 	for i := 0; i < 20; i++ {
-		if err := r.WriteText(&sb); err != nil {
+		if err := r.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
 	}

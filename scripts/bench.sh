@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh runs the repository's performance snapshot: the end-to-end
-# BenchmarkDIMEPlus trio (nil probe vs traced vs flight recorder), the
+# BenchmarkDIMEPlus pair (nil probe vs flight recorder), the
 # BenchmarkDIMEPlusParallel pair (sequential vs intra-group workers — note
 # the parallel numbers are hardware-dependent and collapse to sequential on
 # one core), plus a one-shot smoke of two experiment benches, all with
