@@ -9,9 +9,11 @@ test:
 	$(GO) test ./...
 
 # The serving layer's gates in isolation: the HTTP conformance suite at the
-# repo root (in-process ≡ over-HTTP byte-identity at several worker counts),
-# plus the endpoint golden, backpressure, shutdown and stress tests — all
-# race-enabled. `make check` covers these too via its full -race run.
+# repo root (in-process ≡ over-HTTP byte-identity on one corpus per worker
+# count: the first discover computes DIME+ at that count, a second on the
+# unchanged corpus reuses its result), plus the endpoint golden,
+# backpressure, shutdown, reuse and stress tests — all race-enabled.
+# `make check` covers these too via its full -race run.
 serve-test:
 	$(GO) test -race -run TestDifferentialServeHTTP .
 	$(GO) test -race ./internal/serve/ ./cmd/dimed/
@@ -19,9 +21,10 @@ serve-test:
 # The resilience gate: the chaos differential suite (the 210-group corpus
 # replayed through a fault-injected server with the resilient client at
 # three chaos seeds, demanding byte-identical results, zero duplicated jobs
-# and zero client-visible failures) plus the fault-injector and client unit
-# tests — all race-enabled. `make check` covers these too via its full
-# -race run.
+# and zero client-visible failures; each case computes DIME+ once, at a
+# worker count rotated by case index, and its other submissions reuse that
+# result) plus the fault-injector and client unit tests — all race-enabled.
+# `make check` covers these too via its full -race run.
 chaos-test:
 	$(GO) test -race -run TestDifferentialChaosHTTP .
 	$(GO) test -race ./internal/fault/ ./internal/client/
@@ -32,7 +35,9 @@ chaos-test:
 lint:
 	$(GO) run ./cmd/dimelint -baseline lint.baseline.json ./...
 
-# Full verification gate: build, vet, gofmt, dimelint, race tests, fuzz smoke.
+# Full verification gate: build, vet, gofmt, dimelint, race tests, the
+# nested bench module's vet and tests (`go -C bench vet/test ./...`, which
+# the root's ./... skips), fuzz smoke.
 # Override the fuzz budget with FUZZTIME=30s etc. Add CHECK_BENCH=1 to also
 # refresh the BENCH_core.json performance snapshot.
 check:

@@ -156,8 +156,10 @@ func (s *Session) Add(e *entity.Entity) (rebuilt bool, err error) {
 func (s *Session) Size() int { return len(s.recs) }
 
 // Result runs pivot selection and the negative rules over the current
-// partitions and returns a full Result, identical to what DIMEPlus would
-// produce on the group from scratch.
+// partitions and returns a full Result, identical to what a fresh DIMEPlus
+// run would produce on the group. Its Stats are the session's cumulative
+// positive counters plus this call's negative counters, so calling Result
+// again without an Add returns the same Stats.
 func (s *Session) Result() (*Result, error) {
 	run := obs.Start(s.opts.Probe, "session-result", obs.A("group", s.group.Name))
 	defer run.End()
@@ -167,7 +169,6 @@ func (s *Session) Result() (*Result, error) {
 	}
 	res.Partitions = s.uf.Sets()
 	applyNegativeRules(res, run, s.ctx, s.recs, s.opts)
-	s.stats = res.Stats
 	return res, nil
 }
 

@@ -142,6 +142,25 @@ func TestSessionAddErrors(t *testing.T) {
 // realistic page size (and implicitly that Add stays subquadratic enough to
 // finish instantly).
 func TestSessionStreamLargePage(t *testing.T) {
+	full, opts, sess := streamLargePage(t)
+	incr, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := DIMEPlus(full, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(incr.Final(), batch.Final()) {
+		t.Fatalf("incremental %v vs batch %v", incr.Final(), batch.Final())
+	}
+}
+
+// streamLargePage seeds a session with the first five entities of a
+// 150-publication Scholar page and streams the rest in; it returns the full
+// group, the options and the session.
+func streamLargePage(t *testing.T) (*entity.Group, Options, *Session) {
+	t.Helper()
 	full := datagen.Scholar(datagen.ScholarOptions{NumPubs: 150, ErrorRate: 0.08, Seed: 3})
 	cfg := presets.ScholarConfig()
 	opts := Options{Config: cfg, Rules: presets.ScholarRules(cfg)}
@@ -158,15 +177,32 @@ func TestSessionStreamLargePage(t *testing.T) {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	incr, err := sess.Result()
+	return full, opts, sess
+}
+
+// TestSessionResultRepeatable calls Result twice on an unchanged session:
+// the second call must return the same Stats, levels and witnesses, not
+// add the negative phase's counters to the first call's.
+func TestSessionResultRepeatable(t *testing.T) {
+	_, _, sess := streamLargePage(t)
+	first, err := sess.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := DIMEPlus(full, opts)
+	if first.Stats.NegativeVerified == 0 {
+		t.Fatal("the negative phase verified nothing; the test cannot see a doubled counter")
+	}
+	second, err := sess.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(incr.Final(), batch.Final()) {
-		t.Fatalf("incremental %v vs batch %v", incr.Final(), batch.Final())
+	if first.Stats != second.Stats {
+		t.Errorf("Stats changed between calls:\nfirst:  %+v\nsecond: %+v", first.Stats, second.Stats)
+	}
+	if !reflect.DeepEqual(first.Levels, second.Levels) {
+		t.Errorf("levels changed between calls:\nfirst:  %+v\nsecond: %+v", first.Levels, second.Levels)
+	}
+	if !reflect.DeepEqual(first.Witnesses, second.Witnesses) {
+		t.Errorf("witnesses changed between calls:\nfirst:  %+v\nsecond: %+v", first.Witnesses, second.Witnesses)
 	}
 }

@@ -68,6 +68,9 @@ type ChaosTarget struct {
 	ClientFaults *fault.Injector
 	// Registry holds the client's retry/breaker counters for assertions.
 	Registry *obs.Registry
+	// ServerRegistry is the server's metrics registry; DiffChaos reads its
+	// dime.jobs.computed and dime.jobs.reused counters.
+	ServerRegistry *obs.Registry
 }
 
 // NewChaosTarget starts an httptest server wrapped in fault middleware and
@@ -116,11 +119,12 @@ func NewChaosTarget(opts serve.Options, chaos ChaosOptions) (ChaosTarget, func()
 		Registry:    reg,
 	})
 	tgt := ChaosTarget{
-		Svc:          svc,
-		Client:       cl,
-		ServerFaults: serverFaults,
-		ClientFaults: clientFaults,
-		Registry:     reg,
+		Svc:            svc,
+		Client:         cl,
+		ServerFaults:   serverFaults,
+		ClientFaults:   clientFaults,
+		Registry:       reg,
+		ServerRegistry: opts.Registry,
 	}
 	return tgt, ts.Close
 }
@@ -136,13 +140,15 @@ func CheckChaos(t TB, ctx context.Context, tgt ChaosTarget, c Case, workers ...i
 
 // DiffChaos executes the case end-to-end through the fault-wrapped server
 // with the resilient client: create → ingest → per-workers keyed discover →
-// wait → results, demanding byte-identity with the in-process sequential
-// DIME+ result, exactly one job per (case, workers) submission — retried
-// discovers must dedupe on their Idempotency-Key — and a verified replay of
-// the first key. The scrollbar and witness endpoints are cross-checked like
-// the fault-free suite. Every request runs under the caller's ctx, so a
-// test deadline or cancellation cuts the replay short instead of letting
-// retries grind on.
+// wait → results on one corpus, demanding byte-identity with the in-process
+// sequential DIME+ result, exactly one job per (case, workers) submission —
+// retried discovers must dedupe on their Idempotency-Key — and a verified
+// replay of the first key. Only the first submission computes DIME+, at
+// workers[0]; the later ones find the corpus unchanged and reuse its
+// result, which the server's job counters must show. The scrollbar and
+// witness endpoints are cross-checked like the fault-free suite. Every
+// request runs under the caller's ctx, so a test deadline or cancellation
+// cuts the replay short instead of letting retries grind on.
 func (c Case) DiffChaos(ctx context.Context, tgt ChaosTarget, workers ...int) error {
 	want, err := core.DIMEPlus(c.Group, core.Options{
 		Config: c.Config, Rules: c.Rules, IntraWorkers: 1, Probe: c.Probe,
@@ -172,6 +178,7 @@ func (c Case) DiffChaos(ctx context.Context, tgt ChaosTarget, workers ...int) er
 		return fmt.Errorf("ingest: size %d, want %d", ingested.Size, len(c.Group.Entities))
 	}
 
+	computed0, reused0 := jobCounts(tgt.ServerRegistry)
 	firstKey, firstJob := "", ""
 	for _, w := range workers {
 		key := fmt.Sprintf("%s-w%d", c.Name, w)
@@ -217,6 +224,11 @@ func (c Case) DiffChaos(ctx context.Context, tgt ChaosTarget, workers ...int) er
 	}
 	if info.Jobs != len(workers) {
 		return fmt.Errorf("corpus ran %d jobs for %d submissions — retries duplicated work", info.Jobs, len(workers))
+	}
+	computed, reused := jobCounts(tgt.ServerRegistry)
+	if computed-computed0 != 1 || reused-reused0 != int64(len(workers)-1) {
+		return fmt.Errorf("server computed %d and reused %d jobs; want 1 computed at workers=%d, %d reused",
+			computed-computed0, reused-reused0, workers[0], len(workers)-1)
 	}
 
 	if err := c.checkChaosScrollbar(ctx, tgt, want); err != nil {

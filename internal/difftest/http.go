@@ -1,14 +1,15 @@
 package difftest
 
 // HTTP-backed differential runner: a Case executed end-to-end against a
-// live dimed-style server (internal/serve) instead of in-process calls. The
-// harness ingests the case group over the wire, triggers discovery jobs at
-// several IntraWorkers settings, fetches the results back over HTTP and
-// demands byte-identity with an in-process DIME+ run on the same group —
-// partitions, pivot, levels, witnesses and Stats — extending the repo's
-// determinism invariant across the serialization and service boundary. The
-// scrollbar and witness endpoints are cross-checked against the same
-// reference result.
+// live dimed-style server (internal/serve) instead of in-process calls. For
+// every IntraWorkers setting the harness ingests the case group over the
+// wire into a corpus of its own, triggers one discovery job that computes
+// DIME+ at that setting and a second on the unchanged corpus that reuses
+// the first's result, fetches both back over HTTP and demands byte-identity
+// with an in-process DIME+ run on the same group — partitions, pivot,
+// levels, witnesses and Stats — extending the repo's determinism invariant
+// across the serialization and service boundary. The scrollbar and witness
+// endpoints are cross-checked against the same reference result.
 
 import (
 	"bytes"
@@ -19,6 +20,7 @@ import (
 	"net/http/httptest"
 
 	"dime/internal/core"
+	"dime/internal/obs"
 	"dime/internal/serve"
 )
 
@@ -30,15 +32,24 @@ type ServeTarget struct {
 	Svc     *serve.Service
 	BaseURL string
 	Client  *http.Client
+	// Registry is the server's metrics registry; DiffServe reads its
+	// dime.jobs.computed and dime.jobs.reused counters.
+	Registry *obs.Registry
 }
 
-// NewServeTarget starts an httptest server over a fresh serve.Service and
-// returns the target plus its closer. Jobs wait synchronously via
-// ?wait=true, so a small pool suffices.
+// NewServeTarget starts an httptest server over a fresh serve.Service with
+// its own registry and flight recorder, and returns the target plus its
+// closer. Jobs wait synchronously via ?wait=true, so a small pool suffices.
 func NewServeTarget(opts serve.Options) (ServeTarget, func()) {
+	if opts.Registry == nil {
+		opts.Registry = obs.NewRegistry()
+	}
+	if opts.Flight == nil {
+		opts.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
+	}
 	svc := serve.NewService(opts)
 	ts := httptest.NewServer(serve.Handler(svc))
-	return ServeTarget{Svc: svc, BaseURL: ts.URL, Client: ts.Client()}, ts.Close
+	return ServeTarget{Svc: svc, BaseURL: ts.URL, Client: ts.Client(), Registry: opts.Registry}, ts.Close
 }
 
 // CheckServe runs the case through DiffServe and fails the test with the
@@ -50,14 +61,17 @@ func CheckServe(t TB, tgt ServeTarget, c Case, workers ...int) {
 	}
 }
 
-// DiffServe executes the case against the target server: it registers the
-// case profile, creates a corpus named after the case, ingests the group's
-// entities over HTTP, and for every workers entry runs one discover →
-// wait → results round trip, requiring the decoded result to be exactly —
-// stats and witnesses included — the in-process sequential DIME+ result.
-// The scrollbar (deepest level) and witness endpoints are checked against
-// the same reference. The corpus is deleted before returning so a long
-// corpus sweep holds one corpus at a time.
+// DiffServe executes the case against the target server. It registers the
+// case profile and, for every workers entry, runs a corpus of its own
+// (<case>-w<N>): create, ingest the group's entities over HTTP, then two
+// discover → wait → results round trips, each requiring the decoded result
+// to be exactly — stats and witnesses included — the in-process sequential
+// DIME+ result. The server's job counters must show that the first job
+// computed DIME+ at that worker count and the second, on the unchanged
+// corpus, reused the first's result. The scrollbar (deepest level) and
+// witness endpoints are checked against the same reference. Each corpus is
+// deleted before the next is created, so a long corpus sweep holds one
+// corpus at a time.
 func (c Case) DiffServe(tgt ServeTarget, workers ...int) error {
 	want, err := core.DIMEPlus(c.Group, core.Options{
 		Config: c.Config, Rules: c.Rules, IntraWorkers: 1, Probe: c.Probe,
@@ -70,8 +84,19 @@ func (c Case) DiffServe(tgt ServeTarget, workers ...int) error {
 	if err := tgt.Svc.RegisterProfile(profile, serve.Profile{Config: c.Config, Rules: c.Rules}); err != nil {
 		return err
 	}
+	for _, w := range workers {
+		if err := c.diffServeCorpus(tgt, profile, want, w); err != nil {
+			return fmt.Errorf("workers=%d: %w", w, err)
+		}
+	}
+	return nil
+}
+
+// diffServeCorpus runs one worker count's corpus through its lifecycle.
+func (c Case) diffServeCorpus(tgt ServeTarget, profile string, want *core.Result, workers int) error {
+	id := fmt.Sprintf("%s-w%d", c.Name, workers)
 	if err := tgt.postJSON("/v1/corpora", serve.CreateCorpusRequest{
-		ID: c.Name, Profile: profile, Name: c.Group.Name,
+		ID: id, Profile: profile, Name: c.Group.Name,
 	}, http.StatusCreated, nil); err != nil {
 		return fmt.Errorf("create corpus: %w", err)
 	}
@@ -80,22 +105,30 @@ func (c Case) DiffServe(tgt ServeTarget, workers ...int) error {
 		ingest.Entities = append(ingest.Entities, serve.EntityJSON{ID: e.ID, Values: e.Values})
 	}
 	var ingested serve.IngestResponse
-	if err := tgt.postJSON("/v1/corpora/"+c.Name+"/entities", ingest, http.StatusOK, &ingested); err != nil {
+	if err := tgt.postJSON("/v1/corpora/"+id+"/entities", ingest, http.StatusOK, &ingested); err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
 	if ingested.Size != len(c.Group.Entities) {
 		return fmt.Errorf("ingest: size %d, want %d", ingested.Size, len(c.Group.Entities))
 	}
 
-	for _, w := range workers {
-		if err := c.diffServeOnce(tgt, want, w); err != nil {
-			return fmt.Errorf("workers=%d: %w", w, err)
+	// The first job computes DIME+ at this worker count; the second, on the
+	// unchanged corpus, reuses the first's result.
+	for i, delta := range []struct{ computed, reused int64 }{{1, 0}, {0, 1}} {
+		computed0, reused0 := jobCounts(tgt.Registry)
+		if err := c.diffServeOnce(tgt, id, want, workers); err != nil {
+			return fmt.Errorf("discover %d: %w", i+1, err)
+		}
+		computed, reused := jobCounts(tgt.Registry)
+		if computed-computed0 != delta.computed || reused-reused0 != delta.reused {
+			return fmt.Errorf("discover %d: computed %d, reused %d jobs; want %d, %d",
+				i+1, computed-computed0, reused-reused0, delta.computed, delta.reused)
 		}
 	}
-	if err := c.checkScrollbarAndWitnesses(tgt, want); err != nil {
+	if err := c.checkScrollbarAndWitnesses(tgt, id, want); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodDelete, tgt.BaseURL+"/v1/corpora/"+c.Name, nil)
+	req, err := http.NewRequest(http.MethodDelete, tgt.BaseURL+"/v1/corpora/"+id, nil)
 	if err != nil {
 		return err
 	}
@@ -110,22 +143,28 @@ func (c Case) DiffServe(tgt ServeTarget, workers ...int) error {
 	return nil
 }
 
-// diffServeOnce runs one discover→wait→results round trip and compares.
-func (c Case) diffServeOnce(tgt ServeTarget, want *core.Result, workers int) error {
+// jobCounts reads a server registry's computed and reused job counters.
+func jobCounts(reg *obs.Registry) (computed, reused int64) {
+	return reg.Counter("dime.jobs.computed").Value(), reg.Counter("dime.jobs.reused").Value()
+}
+
+// diffServeOnce runs one discover→wait→results round trip on the corpus
+// and compares.
+func (c Case) diffServeOnce(tgt ServeTarget, id string, want *core.Result, workers int) error {
 	var job serve.JobJSON
-	if err := tgt.postJSON("/v1/corpora/"+c.Name+"/discover",
+	if err := tgt.postJSON("/v1/corpora/"+id+"/discover",
 		serve.DiscoverRequest{IntraWorkers: workers}, http.StatusAccepted, &job); err != nil {
 		return fmt.Errorf("discover: %w", err)
 	}
 	var status serve.JobJSON
-	if err := tgt.getJSON("/v1/corpora/"+c.Name+"/status/"+job.Job+"?wait=true", &status); err != nil {
+	if err := tgt.getJSON("/v1/corpora/"+id+"/status/"+job.Job+"?wait=true", &status); err != nil {
 		return fmt.Errorf("status: %w", err)
 	}
 	if status.State != serve.JobDone {
 		return fmt.Errorf("job %s finished %q (error %q)", job.Job, status.State, status.Error)
 	}
 	var wire serve.ResultJSON
-	if err := tgt.getJSON("/v1/corpora/"+c.Name+"/results/"+job.Job, &wire); err != nil {
+	if err := tgt.getJSON("/v1/corpora/"+id+"/results/"+job.Job, &wire); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	got, err := wire.Core(c.Group)
@@ -138,15 +177,15 @@ func (c Case) diffServeOnce(tgt ServeTarget, want *core.Result, workers int) err
 	return nil
 }
 
-// checkScrollbarAndWitnesses cross-checks the query endpoints against the
-// reference result.
-func (c Case) checkScrollbarAndWitnesses(tgt ServeTarget, want *core.Result) error {
+// checkScrollbarAndWitnesses cross-checks the corpus's query endpoints
+// against the reference result.
+func (c Case) checkScrollbarAndWitnesses(tgt ServeTarget, id string, want *core.Result) error {
 	deepest := len(want.Levels) - 1
 	if deepest < 0 {
 		return nil
 	}
 	var sb serve.ScrollbarJSON
-	if err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/scrollbar/%d", c.Name, deepest), &sb); err != nil {
+	if err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/scrollbar/%d", id, deepest), &sb); err != nil {
 		return fmt.Errorf("scrollbar: %w", err)
 	}
 	lv := want.Levels[deepest]
@@ -155,7 +194,7 @@ func (c Case) checkScrollbarAndWitnesses(tgt ServeTarget, want *core.Result) err
 	}
 	for _, pi := range markedOf(want) {
 		var wr serve.WitnessReportJSON
-		if err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/witnesses/%d", c.Name, pi), &wr); err != nil {
+		if err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/witnesses/%d", id, pi), &wr); err != nil {
 			return fmt.Errorf("witnesses/%d: %w", pi, err)
 		}
 		w := want.Witnesses[pi]

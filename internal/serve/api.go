@@ -131,7 +131,8 @@ type ResultJSON struct {
 	// Witnesses maps marked partition indexes (as decimal strings — JSON
 	// object keys) to their evidence.
 	Witnesses map[string]WitnessJSON `json:"witnesses,omitempty"`
-	// Stats counts the work the discovery run performed.
+	// Stats counts the work DIME+ performs on these entities; a job that
+	// reused the corpus's latest discovery reports that run's counters.
 	Stats core.Stats `json:"stats"`
 }
 

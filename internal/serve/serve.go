@@ -14,10 +14,10 @@
 //
 // # Determinism contract
 //
-// Every discovery result served over HTTP is produced by core.DIMEPlus on a
-// snapshot of the corpus group, under the corpus profile's Config and Rules.
-// Because DIME+ is byte-identical at every IntraWorkers setting and depends
-// only on (group, config, rules), a result fetched over the API is exactly —
+// Every discovery result served over HTTP is core.DIMEPlus on a snapshot of
+// the corpus group, under the corpus profile's Config and Rules. Because
+// DIME+ is byte-identical at every IntraWorkers setting and depends only on
+// (group, config, rules), a result fetched over the API is exactly —
 // partitions, pivot, levels, witnesses and Stats — what an in-process
 // Discover/DiscoverAll call on the same entities produces. The HTTP-backed
 // differential runner in internal/difftest and the conformance suite at the
@@ -25,10 +25,12 @@
 // corpus at several worker counts.
 //
 // Ingestion is incremental: each accepted entity folds into the corpus
-// Session, so GET partitions stays cheap while entities stream in; discovery
-// jobs run the full pipeline from scratch for reproducible results (a
-// Session's work counters depend on arrival order, which would leak
-// ingestion history into the served Stats).
+// Session, so GET partitions stays cheap while entities stream in. A
+// discovery job on a corpus that grew since its latest completed discovery
+// reruns the full pipeline for reproducible results (a Session's work
+// counters depend on arrival order, which would leak ingestion history into
+// the served Stats); a job on an unchanged corpus returns that latest
+// result, which is the same answer.
 //
 // # Workflow
 //

@@ -27,15 +27,16 @@ func scholarGroup() *entity.Group {
 // ingestBody renders the group's entities as an IngestRequest body.
 func ingestBody(t *testing.T, g *entity.Group) []byte {
 	t.Helper()
+	return mustMarshal(t, entitiesJSON(g.Entities))
+}
+
+// entitiesJSON renders entities as an IngestRequest.
+func entitiesJSON(es []*entity.Entity) IngestRequest {
 	req := IngestRequest{}
-	for _, e := range g.Entities {
+	for _, e := range es {
 		req.Entities = append(req.Entities, EntityJSON{ID: e.ID, Values: e.Values})
 	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return req
 }
 
 // newTestServer starts an httptest server over a fresh service with its own

@@ -107,6 +107,9 @@ func (j *Job) Snapshot() (state, errMsg string) {
 }
 
 // Result returns the job result once done (nil before that, or on failure).
+// The result is shared and immutable: a job that reused the corpus's latest
+// discovery holds the same pointer as the job that computed it, and nothing
+// mutates a result after finish.
 func (j *Job) Result() *core.Result {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -150,7 +153,10 @@ type corpus struct {
 	// enqueueing a duplicate.
 	idem map[string]string
 	// last is the most recent successfully completed discovery (and the job
-	// that produced it); the scrollbar and witness endpoints serve it.
+	// that produced it); the scrollbar and witness endpoints serve it, and a
+	// discover job over an unchanged corpus returns it instead of rerunning
+	// DIME+. It is published before the job's done channel closes, and it is
+	// shared and immutable: no one mutates a result once it is published.
 	last    *core.Result
 	lastJob string
 }
@@ -167,7 +173,13 @@ type Service struct {
 	corpora  map[string]*corpus
 	draining bool
 
-	// latMu guards the EWMA of observed job wall-clock durations feeding
+	// computed and reused count finished discover jobs by whether they ran
+	// DIME+ or returned the corpus's latest discovery (dime.jobs.computed,
+	// dime.jobs.reused in /metrics).
+	computed *obs.Counter
+	reused   *obs.Counter
+
+	// latMu guards the EWMA of observed DIME+ run durations feeding
 	// Retry-After derivation.
 	latMu      sync.Mutex
 	avgJobSecs float64
@@ -183,6 +195,8 @@ func NewService(opts Options) *Service {
 		pool:     NewPool(opts.Workers, opts.QueueDepth),
 		probe:    obs.Multi(obs.Observer(opts.Registry), opts.Flight),
 		corpora:  make(map[string]*corpus),
+		computed: opts.Registry.Counter("dime.jobs.computed"),
+		reused:   opts.Registry.Counter("dime.jobs.reused"),
 	}
 }
 
@@ -365,11 +379,13 @@ func (s *Service) Partitions(id string) (PartitionsJSON, error) {
 }
 
 // StartDiscover submits an asynchronous discovery job for the corpus and
-// returns its status. The job runs core.DIMEPlus on a snapshot of the
-// current entities, so a result is reproducible from the (entities, profile)
-// pair alone — byte-identical to an in-process Discover call — regardless of
-// what is ingested while it runs. Pool backpressure surfaces as
-// ErrQueueFull, shutdown as ErrDraining.
+// returns its status. The job's result is core.DIMEPlus on a snapshot of the
+// current entities, so it is reproducible from the (entities, profile) pair
+// alone — byte-identical to an in-process Discover call — regardless of what
+// is ingested while it runs. When the corpus is unchanged since its latest
+// completed discovery, the job returns that discovery's result instead of
+// rerunning DIME+; by the same contract it is byte-identical. Pool
+// backpressure surfaces as ErrQueueFull, shutdown as ErrDraining.
 //
 // A non-empty idemKey makes the submission idempotent: the first request
 // under a key enqueues a job and records the binding; any replay of the same
@@ -422,16 +438,16 @@ func (s *Service) StartDiscover(id string, req DiscoverRequest, idemKey string) 
 		if hook != nil {
 			hook(c.id, job.ID)
 		}
-		start := obs.Now()
-		res, err := core.DIMEPlus(snapshot, opts)
-		s.observeJobDuration(obs.Since(start))
-		job.finish(res, err)
+		res, err := s.discover(c, snapshot, opts)
 		if err == nil {
+			// Publish before done closes, so a client that saw this job
+			// done and submits the next one finds it and reuses it.
 			c.mu.Lock()
 			c.last = res
 			c.lastJob = job.ID
 			c.mu.Unlock()
 		}
+		job.finish(res, err)
 	}
 	if err := s.pool.Submit(task); err != nil {
 		return JobJSON{}, err
@@ -444,9 +460,33 @@ func (s *Service) StartDiscover(id string, req DiscoverRequest, idemKey string) 
 	return jobJSON(c.id, job), nil
 }
 
-// observeJobDuration folds one completed job's wall-clock duration into the
-// EWMA behind Retry-After derivation (0.8 history, 0.2 new sample; the first
-// sample seeds the average).
+// discover returns DIME+ on the snapshot: the corpus's latest completed
+// discovery when it covers exactly the snapshot's entities, a fresh run
+// otherwise.
+func (s *Service) discover(c *corpus, snapshot *entity.Group, opts core.Options) (*core.Result, error) {
+	// The entity count alone identifies the snapshot: Ingest appends under
+	// c.mu, Session.Add rolls back a failed compile before the lock is
+	// released, no path removes an entity, DeleteCorpus drops the whole
+	// corpus object, and a corpus's profile is fixed when it is created. So
+	// two snapshots of one corpus with equal counts hold the same entities,
+	// and DIME+ is byte-identical at every IntraWorkers.
+	c.mu.Lock()
+	last := c.last
+	c.mu.Unlock()
+	if last != nil && len(last.Group.Entities) == len(snapshot.Entities) {
+		s.reused.Add(1)
+		return last, nil
+	}
+	start := obs.Now()
+	res, err := core.DIMEPlus(snapshot, opts)
+	s.observeJobDuration(obs.Since(start))
+	s.computed.Add(1)
+	return res, err
+}
+
+// observeJobDuration folds one DIME+ run's wall-clock duration into the EWMA
+// behind Retry-After derivation (0.8 history, 0.2 new sample; the first
+// sample seeds the average). Reused jobs run no DIME+ and are not sampled.
 func (s *Service) observeJobDuration(d time.Duration) {
 	s.latMu.Lock()
 	defer s.latMu.Unlock()

@@ -19,7 +19,6 @@
 package signature
 
 import (
-	"fmt"
 	"math"
 
 	"dime/internal/ontology"
@@ -39,9 +38,9 @@ const Universal = "\x00*"
 // Concurrency: after NewContext returns, the context is read-only for every
 // predicate of the rule set it was built with — NewContext precomputes the
 // gram lists, gram orderings, τ_min values and ontology depth floors those
-// predicates need, so Signatures, RuleSignatures and the NegFilter/PosIndex
-// methods built on them may be called from multiple goroutines concurrently
-// (parallel DIME+ relies on this). Two exceptions, both single-goroutine by
+// predicates need, so Signatures and the NegFilter/PosIndex methods built on
+// them may be called from multiple goroutines concurrently (parallel DIME+
+// relies on this). Two exceptions, both single-goroutine by
 // contract: Signatures on a predicate *outside* the original rule set may
 // lazily build orderings, and the incremental Append/Accepts path mutates
 // the context. Neither may run concurrently with other context use.
@@ -415,22 +414,4 @@ func (c *Context) minDepthFor(attr int) int {
 	}
 	c.minDepth[attr] = min
 	return min
-}
-
-// RuleSignatures returns the per-predicate signature sets of a record w.r.t.
-// a whole rule, in predicate order.
-func (c *Context) RuleSignatures(r rules.Rule, rec *rules.Record) [][]string {
-	out := make([][]string, len(r.Predicates))
-	for i, p := range r.Predicates {
-		out[i] = c.Signatures(p, rec)
-	}
-	return out
-}
-
-// Validate sanity-checks that the context was built over the given records.
-func (c *Context) Validate(recs []*rules.Record) error {
-	if len(recs) != len(c.records) {
-		return fmt.Errorf("signature: context built over %d records, got %d", len(c.records), len(recs))
-	}
-	return nil
 }

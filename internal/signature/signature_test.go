@@ -322,16 +322,6 @@ func TestNegativeFilterSoundRandomized(t *testing.T) {
 	}
 }
 
-func TestContextValidate(t *testing.T) {
-	_, recs, _, ctx := buildScholar(t)
-	if err := ctx.Validate(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Validate(recs[:2]); err == nil {
-		t.Fatal("mismatched record count should fail")
-	}
-}
-
 // TestContextConcurrentReads asserts the concurrent-read guarantee the
 // Context documents (and parallel DIME+ relies on): after NewContext,
 // Signatures for every predicate of the rule set is a pure read, so

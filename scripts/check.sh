@@ -1,23 +1,28 @@
 #!/usr/bin/env bash
 # check.sh is the repository's full verification gate: build, vet, gofmt,
-# the dimelint invariant analyzers, the race-enabled test suite, and a short
-# fuzz smoke on the parser, edit-distance, edit-similarity verification and
-# differential fuzz targets. CI and pre-merge runs should invoke exactly this
-# script (or `make check`, which delegates here).
+# the dimelint invariant analyzers, the race-enabled test suite, the vet and
+# tests of the nested dimebench module (bench/), and a short fuzz smoke on
+# the parser, edit-distance, edit-similarity verification and differential
+# fuzz targets. CI and pre-merge runs should invoke exactly this script (or
+# `make check`, which delegates here).
 #
 # The race-enabled suite includes the differential harness at the repo root
 # (dime_difftest_test.go), which runs DIME+ with IntraWorkers of 2 and 4 over
 # a couple hundred generated groups — that is the gate proving the parallel
 # path both data-race-free and byte-identical to the sequential one. It also
 # includes the serving-layer conformance suite (dime_serve_difftest_test.go),
-# which replays the same corpus through the internal/serve HTTP API and
+# which replays the same corpus through the internal/serve HTTP API on one
+# corpus per (case, IntraWorkers) pair — the first discover computes DIME+ at
+# that setting, a second on the unchanged corpus reuses its result — and
 # demands byte-identity with the in-process results, plus the endpoint
 # golden, backpressure, graceful-shutdown and concurrent-clients stress
 # tests under internal/serve and cmd/dimed (`make serve-test` runs just
 # those), and the chaos differential suite (dime_chaos_difftest_test.go),
 # which replays that corpus through deterministic fault injection with the
-# resilient client and demands byte-identical results, deduplicated jobs and
-# zero surfaced failures (`make chaos-test` runs just that slice).
+# resilient client — one corpus per case, computed once at a worker count
+# rotated by case index and reused by its other submissions — and demands
+# byte-identical results, deduplicated jobs and zero surfaced failures
+# (`make chaos-test` runs just that slice).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +51,13 @@ go run ./cmd/dimelint -baseline lint.baseline.json ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== go -C bench vet ./... && go -C bench test ./..."
+# bench/ is a module of its own, so the root's ./... leaves it out: this runs
+# its oracle, smoke (every workload for about a second), load-generator and
+# statistics tests.
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
 # -fuzz must match exactly one target per package, hence the anchors.
