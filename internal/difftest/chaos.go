@@ -231,40 +231,14 @@ func (c Case) DiffChaos(ctx context.Context, tgt ChaosTarget, workers ...int) er
 			computed-computed0, reused-reused0, workers[0], len(workers)-1)
 	}
 
-	if err := c.checkChaosScrollbar(ctx, tgt, want); err != nil {
+	err = checkScrollbarAndWitnesses(want,
+		func(level int) (serve.ScrollbarJSON, error) { return tgt.Client.Scrollbar(ctx, c.Name, level) },
+		func(pi int) (serve.WitnessReportJSON, error) { return tgt.Client.Witness(ctx, c.Name, pi) })
+	if err != nil {
 		return err
 	}
 	if err := tgt.Client.DeleteCorpus(ctx, c.Name); err != nil {
 		return fmt.Errorf("delete corpus: %w", err)
-	}
-	return nil
-}
-
-// checkChaosScrollbar cross-checks the scrollbar and witness endpoints
-// against the reference result, through the resilient client.
-func (c Case) checkChaosScrollbar(ctx context.Context, tgt ChaosTarget, want *core.Result) error {
-	deepest := len(want.Levels) - 1
-	if deepest < 0 {
-		return nil
-	}
-	sb, err := tgt.Client.Scrollbar(ctx, c.Name, deepest)
-	if err != nil {
-		return fmt.Errorf("scrollbar: %w", err)
-	}
-	lv := want.Levels[deepest]
-	if sb.Rule != lv.RuleName || !equalStrings(sb.EntityIDs, lv.EntityIDs) || !equalInts(sb.PartitionIndexes, lv.PartitionIndexes) {
-		return fmt.Errorf("scrollbar level %d diverged:\n  got  %+v\n  want %+v", deepest, sb, lv)
-	}
-	for _, pi := range markedOf(want) {
-		wr, err := tgt.Client.Witness(ctx, c.Name, pi)
-		if err != nil {
-			return fmt.Errorf("witnesses/%d: %w", pi, err)
-		}
-		w := want.Witnesses[pi]
-		if !wr.Marked || wr.Witness == nil ||
-			wr.Witness.Rule != w.Rule || wr.Witness.EntityID != w.EntityID || wr.Witness.PivotID != w.PivotID {
-			return fmt.Errorf("witness for partition %d diverged: got %+v, want %+v", pi, wr, w)
-		}
 	}
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 
 	"dime/internal/core"
 	"dime/internal/obs"
@@ -125,7 +126,18 @@ func (c Case) diffServeCorpus(tgt ServeTarget, profile string, want *core.Result
 				i+1, computed-computed0, reused-reused0, delta.computed, delta.reused)
 		}
 	}
-	if err := c.checkScrollbarAndWitnesses(tgt, id, want); err != nil {
+	err := checkScrollbarAndWitnesses(want,
+		func(level int) (serve.ScrollbarJSON, error) {
+			var sb serve.ScrollbarJSON
+			err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/scrollbar/%d", id, level), &sb)
+			return sb, err
+		},
+		func(pi int) (serve.WitnessReportJSON, error) {
+			var wr serve.WitnessReportJSON
+			err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/witnesses/%d", id, pi), &wr)
+			return wr, err
+		})
+	if err != nil {
 		return err
 	}
 	req, err := http.NewRequest(http.MethodDelete, tgt.BaseURL+"/v1/corpora/"+id, nil)
@@ -177,57 +189,37 @@ func (c Case) diffServeOnce(tgt ServeTarget, id string, want *core.Result, worke
 	return nil
 }
 
-// checkScrollbarAndWitnesses cross-checks the corpus's query endpoints
-// against the reference result.
-func (c Case) checkScrollbarAndWitnesses(tgt ServeTarget, id string, want *core.Result) error {
+// checkScrollbarAndWitnesses cross-checks a corpus's query endpoints against
+// the reference result: the deepest scrollbar level, and the witness of
+// every marked partition. The two replays fetch them differently (a raw GET
+// or the resilient client), so the fetches come in as functions.
+func checkScrollbarAndWitnesses(want *core.Result,
+	scrollbar func(level int) (serve.ScrollbarJSON, error),
+	witness func(partition int) (serve.WitnessReportJSON, error)) error {
 	deepest := len(want.Levels) - 1
 	if deepest < 0 {
 		return nil
 	}
-	var sb serve.ScrollbarJSON
-	if err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/scrollbar/%d", id, deepest), &sb); err != nil {
+	sb, err := scrollbar(deepest)
+	if err != nil {
 		return fmt.Errorf("scrollbar: %w", err)
 	}
 	lv := want.Levels[deepest]
-	if sb.Rule != lv.RuleName || !equalStrings(sb.EntityIDs, lv.EntityIDs) || !equalInts(sb.PartitionIndexes, lv.PartitionIndexes) {
+	if sb.Rule != lv.RuleName || !slices.Equal(sb.EntityIDs, lv.EntityIDs) || !slices.Equal(sb.PartitionIndexes, lv.PartitionIndexes) {
 		return fmt.Errorf("scrollbar level %d diverged:\n  got  %+v\n  want %+v", deepest, sb, lv)
 	}
 	for _, pi := range markedOf(want) {
-		var wr serve.WitnessReportJSON
-		if err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/witnesses/%d", id, pi), &wr); err != nil {
+		wr, err := witness(pi)
+		if err != nil {
 			return fmt.Errorf("witnesses/%d: %w", pi, err)
 		}
 		w := want.Witnesses[pi]
 		if !wr.Marked || wr.Witness == nil ||
 			wr.Witness.Rule != w.Rule || wr.Witness.EntityID != w.EntityID || wr.Witness.PivotID != w.PivotID {
-			return fmt.Errorf("witness for partition %d diverged: got %+v, want %+v", pi, wr, w)
+			return fmt.Errorf("witness for partition %d diverged: got marked=%t %+v, want %+v", pi, wr.Marked, wr.Witness, w)
 		}
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // postJSON posts body and decodes the response into out (when non-nil),

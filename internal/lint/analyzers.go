@@ -1,8 +1,8 @@
 package lint
 
-// All returns the full analyzer suite in a stable order: the per-package
-// analyzers first, then the interprocedural ones that run over the module
-// call graph.
+// All returns the full analyzer suite in a stable order: the syntactic
+// checks first, then the interprocedural ones that walk the module call
+// graph.
 func All() []Analyzer {
 	return []Analyzer{
 		FloatCmp{},

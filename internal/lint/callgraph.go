@@ -46,17 +46,6 @@ const (
 	EdgeRef
 )
 
-// String renders the edge kind for diagnostics and tests.
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeIface:
-		return "iface"
-	case EdgeRef:
-		return "ref"
-	}
-	return "call"
-}
-
 // Edge is one outgoing call-graph edge.
 type Edge struct {
 	// Callee is the target node.
@@ -156,15 +145,6 @@ func (g *CallGraph) Nodes() []*Node {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Lookup resolves a types.Func object (from any of the module's
-// type-checking universes) to its node, or nil.
-func (g *CallGraph) Lookup(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.nodes[funcID(fn)]
 }
 
 // BuildCallGraph constructs the call graph over the loaded lint units.
@@ -306,7 +286,7 @@ func (b *graphBuilder) collectTypes(pkgs []*Package) {
 			b.candidates = append(b.candidates, tn)
 		}
 		for _, imp := range tp.Imports() {
-			if imp.Path() == module || strings.HasPrefix(imp.Path(), module+"/") {
+			if inModule(imp.Path(), module) {
 				visit(imp, module)
 			}
 		}

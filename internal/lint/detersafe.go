@@ -141,11 +141,8 @@ func (DeterSafe) Doc() string {
 	return "nondeterminism source (wall clock, global RNG, env, map-order escape, unordered goroutine fan-out) reachable from a result-producing entry point"
 }
 
-// Run implements Analyzer; detersafe is interprocedural, see RunModule.
-func (DeterSafe) Run(*Pass) {}
-
-// RunModule implements ModuleAnalyzer.
-func (a DeterSafe) RunModule(mp *ModulePass) {
+// Run implements Analyzer.
+func (a DeterSafe) Run(mp *ModulePass) {
 	entries := a.Entries
 	if entries == nil {
 		entries = DefaultEntryPoints

@@ -23,43 +23,45 @@ func (ErrCheck) Doc() string {
 }
 
 // Run implements Analyzer.
-func (ErrCheck) Run(pass *Pass) {
-	for _, f := range pass.Files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var call *ast.CallExpr
-			switch stmt := n.(type) {
-			case *ast.ExprStmt:
-				call, _ = stmt.X.(*ast.CallExpr)
-			case *ast.GoStmt:
-				call = stmt.Call
-			case *ast.DeferStmt:
-				call = stmt.Call
-			}
-			if call == nil {
+func (ErrCheck) Run(mp *ModulePass) {
+	for _, pkg := range mp.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var call *ast.CallExpr
+				switch stmt := n.(type) {
+				case *ast.ExprStmt:
+					call, _ = stmt.X.(*ast.CallExpr)
+				case *ast.GoStmt:
+					call = stmt.Call
+				case *ast.DeferStmt:
+					call = stmt.Call
+				}
+				if call == nil {
+					return true
+				}
+				fn := staticCallee(pkg.Info, call)
+				if fn == nil || fn.Pkg() == nil || !inModule(fn.Pkg().Path(), mp.Module) {
+					return true
+				}
+				if _, ok := errorResult(fn); ok {
+					mp.Reportf(call.Pos(), "error result of %s.%s dropped; handle it or assign to _ explicitly", fn.Pkg().Name(), fn.Name())
+				}
 				return true
-			}
-			fn := calleeFunc(pass, call)
-			if fn == nil || !pass.InModule(fn) {
-				return true
-			}
-			if _, ok := errorResult(fn); ok {
-				pass.Reportf(call.Pos(), "error result of %s.%s dropped; handle it or assign to _ explicitly", fn.Pkg().Name(), fn.Name())
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
-// calleeFunc resolves the called function object, looking through method
+// staticCallee resolves the called function object, looking through method
 // values and package selectors. Returns nil for builtins, type conversions
 // and indirect calls through function values.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := pass.Info.Uses[fun].(*types.Func)
+		fn, _ := info.Uses[fun].(*types.Func)
 		return fn
 	case *ast.SelectorExpr:
-		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
 		return fn
 	}
 	return nil

@@ -30,48 +30,50 @@ func (FloatCmp) Doc() string {
 }
 
 // Run implements Analyzer.
-func (FloatCmp) Run(pass *Pass) {
-	path := strings.TrimSuffix(pass.Pkg.Path, ".test")
-	if strings.HasSuffix(path, "internal/sim") {
-		return // the epsilon helpers themselves live here
-	}
-	for _, f := range pass.Files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			bin, ok := n.(*ast.BinaryExpr)
-			if !ok {
-				return true
-			}
-			switch bin.Op {
-			case token.EQL, token.NEQ:
-				if isZeroConst(pass, bin.X) || isZeroConst(pass, bin.Y) {
-					return true // exact-zero sentinels and divide-by-zero guards are exact by nature
+func (FloatCmp) Run(mp *ModulePass) {
+	for _, pkg := range mp.Pkgs {
+		if strings.HasSuffix(strings.TrimSuffix(pkg.Path, ".test"), "internal/sim") {
+			continue // the epsilon helpers themselves live here
+		}
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				bin, ok := n.(*ast.BinaryExpr)
+				if !ok {
+					return true
 				}
-				if isFloat(pass.Info.TypeOf(bin.X)) || isFloat(pass.Info.TypeOf(bin.Y)) {
-					pass.Reportf(bin.OpPos, "exact %s on float values; use sim.Eq (epsilon %s) instead", bin.Op, "1e-9")
-				}
-			case token.GEQ, token.LEQ:
-				if isZeroConst(pass, bin.X) || isZeroConst(pass, bin.Y) {
-					return true // θ ≤ 0 style range guards, not threshold matching
-				}
-				if (isThresholdExpr(bin.X) || isThresholdExpr(bin.Y)) &&
-					(isFloat(pass.Info.TypeOf(bin.X)) || isFloat(pass.Info.TypeOf(bin.Y))) {
-					helper := "sim.AtLeast"
-					if bin.Op == token.LEQ {
-						helper = "sim.AtMost"
+				switch bin.Op {
+				case token.EQL, token.NEQ:
+					if isZeroConst(info, bin.X) || isZeroConst(info, bin.Y) {
+						return true // exact-zero sentinels and divide-by-zero guards are exact by nature
 					}
-					pass.Reportf(bin.OpPos, "raw %s against a rule threshold; use %s for epsilon-tolerant comparison", bin.Op, helper)
+					if isFloat(info.TypeOf(bin.X)) || isFloat(info.TypeOf(bin.Y)) {
+						mp.Reportf(bin.OpPos, "exact %s on float values; use sim.Eq (epsilon %s) instead", bin.Op, "1e-9")
+					}
+				case token.GEQ, token.LEQ:
+					if isZeroConst(info, bin.X) || isZeroConst(info, bin.Y) {
+						return true // θ ≤ 0 style range guards, not threshold matching
+					}
+					if (isThresholdExpr(bin.X) || isThresholdExpr(bin.Y)) &&
+						(isFloat(info.TypeOf(bin.X)) || isFloat(info.TypeOf(bin.Y))) {
+						helper := "sim.AtLeast"
+						if bin.Op == token.LEQ {
+							helper = "sim.AtMost"
+						}
+						mp.Reportf(bin.OpPos, "raw %s against a rule threshold; use %s for epsilon-tolerant comparison", bin.Op, helper)
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }
 
 // isZeroConst reports whether the expression is a compile-time constant
 // equal to zero (0 is exactly representable, so comparing against it is not
 // an epsilon hazard).
-func isZeroConst(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
+func isZeroConst(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Value == nil {
 		return false
 	}

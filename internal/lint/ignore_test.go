@@ -5,41 +5,14 @@ import (
 	"testing"
 )
 
-// The fixtures below exercise the //lint:ignore directive's edge cases:
-// single-line block comments, a directive as the first line of a file,
-// the diagnostic for a reasonless directive, and a directive scoped to one
-// analyzer on a line where a second analyzer also fires.
+// The fixtures below exercise the //lint:ignore directive's edge cases: a
+// directive as the first line of a file, the diagnostic for a reasonless
+// directive, and a directive scoped to one analyzer on a line where a
+// second analyzer also fires.
 
 // emitRooted is detersafe rooted at the fixtures' emit function, so it
 // reports their map-range appends.
 var emitRooted = DeterSafe{Entries: []EntryPoint{{Pkg: "internal/core", Name: "emit"}}}
-
-func TestIgnoreBlockCommentTrailing(t *testing.T) {
-	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
-func emit(m map[string]int) []string {
-	var out []string
-	for k := range m { /*lint:ignore detersafe fixture: order-insensitive consumer*/
-		out = append(out, k)
-	}
-	return out
-}`)
-	expect(t, pkg, emitRooted, 0)
-}
-
-func TestIgnoreBlockCommentStandalone(t *testing.T) {
-	// A block-comment directive alone on its line applies to the next line,
-	// exactly like the line-comment form.
-	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
-func emit(m map[string]int) []string {
-	var out []string
-	/*lint:ignore detersafe fixture: order-insensitive consumer*/
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}`)
-	expect(t, pkg, emitRooted, 0)
-}
 
 func TestIgnoreOnFirstLineOfFile(t *testing.T) {
 	// A directive as the file's first line (before the package clause) must

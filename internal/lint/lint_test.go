@@ -10,21 +10,28 @@ import (
 	"testing"
 )
 
+// fixtureFset and fixtureStd are shared by every fixture: the source
+// importer type-checks each standard-library package once per test binary
+// instead of once per fixture. No test in this package runs in parallel.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 // fixture type-checks one in-memory source file as a module package and
 // returns it as a lint unit. path controls which entry points match (e.g.
 // detersafe's default roots include internal/core.DIMEPlus); filename
 // controls test-file exemptions.
 func fixture(t *testing.T, path, filename, src string) *Package {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	f, err := parser.ParseFile(fixtureFset, filename, src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}
 	pkg := &Package{
 		Path:   path,
 		Module: "dime",
-		Fset:   fset,
+		Fset:   fixtureFset,
 		Files:  []*ast.File{f},
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -36,10 +43,10 @@ func fixture(t *testing.T, path, filename, src string) *Package {
 		},
 	}
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: fixtureStd,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	pkg.Types, _ = conf.Check(path, fset, pkg.Files, pkg.Info)
+	pkg.Types, _ = conf.Check(path, fixtureFset, pkg.Files, pkg.Info)
 	if len(pkg.TypeErrors) > 0 {
 		t.Fatalf("fixture has type errors: %v", pkg.TypeErrors)
 	}

@@ -41,7 +41,10 @@ type Package struct {
 // Load parses and type-checks every package under root (the module root or a
 // subdirectory containing go.mod further up). Patterns follow a small subset
 // of the go tool's syntax: "./..." loads the whole module, "./dir" or
-// "./dir/..." load a directory (recursively with "/...").
+// "./dir/..." load a directory (recursively with "/..."). Unlike the go
+// tool, a recursive pattern does not stop at a nested go.mod: "./..." also
+// walks nested modules such as bench/ (module dime/bench), whose packages
+// resolve as module-relative paths of the enclosing module.
 //
 // Mirroring the go tool's compilation model, imports resolve to the package
 // built from non-test files only; the returned lint units additionally
@@ -79,13 +82,6 @@ func Load(root string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// ModuleRoot returns the root directory of the module enclosing dir (the
-// directory holding go.mod). Baselines relativize finding paths against it.
-func ModuleRoot(dir string) (string, error) {
-	root, _, err := findModule(dir)
-	return root, err
-}
-
 // findModule walks up from dir to the enclosing go.mod and returns the
 // module root directory and module path.
 func findModule(dir string) (string, string, error) {
@@ -107,6 +103,12 @@ func findModule(dir string) (string, string, error) {
 			return "", "", fmt.Errorf("lint: no go.mod found above %s", abs)
 		}
 	}
+}
+
+// inModule reports whether the package path belongs to the module (as
+// opposed to the standard library).
+func inModule(path, module string) bool {
+	return path == module || strings.HasPrefix(path, module+"/")
 }
 
 // selectDirs expands patterns into package directories (directories holding
@@ -204,7 +206,7 @@ type loader struct {
 // base-only package built from source within the module; everything else is
 // delegated to the standard-library source importer.
 func (ld *loader) Import(path string) (*types.Package, error) {
-	if path == ld.modPath || strings.HasPrefix(path, ld.modPath+"/") {
+	if inModule(path, ld.modPath) {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, ld.modPath), "/")
 		return ld.importBase(filepath.Join(ld.modRoot, filepath.FromSlash(rel)))
 	}

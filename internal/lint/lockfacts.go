@@ -1,14 +1,17 @@
 package lint
 
 // This file builds the lock-fact layer shared by the locklint analyzers
-// (lockorder, heldcall, goleak, ctxflow — see locklint.go) and cmd/dimelint's
-// -graph dump. For every call-graph node it extracts, stdlib-only:
+// (lockorder, heldcall, goleak, ctxflow — see locklint.go). For every
+// call-graph node it extracts, stdlib-only:
 //
-//   - lock acquisitions and releases of sync.Mutex / sync.RWMutex values
-//     (including promoted methods on embedded mutexes and `defer
-//     mu.Unlock()` pairing, with the RLock/Lock distinction), keyed by the
-//     receiver's declared identity — "pkg.Type.field" for field mutexes,
-//     "pkg.var" for package-level ones, a per-function key for locals;
+//   - Lock/Unlock and RLock/RUnlock calls (with `defer mu.Unlock()`
+//     pairing) on a sync.Mutex or sync.RWMutex field of a named struct
+//     type, reached directly or through a pointer, keyed "pkg.Type.field".
+//     That is the one lock shape the module uses; any other lock operation
+//     in non-test code (a package-level, local or embedded mutex, any other
+//     receiver expression, TryLock/TryRLock, a sync.Locker, sync.Once.Do)
+//     is recorded as an unsupported shape, which lockorder reports, instead
+//     of a guess;
 //   - direct blocking operations: channel sends/receives outside a select,
 //     `select` without a default, sync.WaitGroup.Wait, time.Sleep, and a
 //     curated list of network/file I/O calls;
@@ -19,13 +22,13 @@ package lint
 //     declared ctx parameter is actually used.
 //
 // A function body is split into single-goroutine *units*: the declared body
-// (with immediately-invoked literals, sync.Once.Do literals and deferred
-// literals inlined, defers flushed at their owning frame's exit in LIFO
-// order) is the root unit; each `go func(){...}` body and each literal
-// passed or stored as a value becomes its own unit. Goroutine and callback
-// units are excluded from the parent's lock/blocking summary — they run on
-// another goroutine (or later), so e.g. a pool task re-acquiring the mutex
-// its submitter holds is not a self-deadlock.
+// (with immediately-invoked and deferred literals inlined, defers flushed
+// at their owning frame's exit in LIFO order) is the root unit; each `go
+// func(){...}` body and each literal passed or stored as a value becomes
+// its own unit. Goroutine and callback units are excluded from the parent's
+// lock/blocking summary — they run on another goroutine (or later), so e.g.
+// a pool task re-acquiring the mutex its submitter holds is not a
+// self-deadlock.
 //
 // Known approximations, all documented trade-offs: the held-set walk is a
 // source-order flow approximation (an early conditional Unlock+return makes
@@ -34,11 +37,9 @@ package lint
 // receiver (sort.Slice style) is not charged to the caller.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"sort"
 	"strings"
 )
@@ -106,29 +107,27 @@ type funcUnit struct {
 	events []lockEvent
 }
 
-// acqInfo records how a node may come to acquire a lock: directly at pos,
-// or transitively through a call to next.
+// acqInfo records how a node may come to acquire a lock: directly (next is
+// nil), or transitively through a call to next.
 type acqInfo struct {
 	mode lockMode
-	pos  token.Pos
 	next *Node
 }
 
-// blockInfo records how a node may come to block.
+// blockInfo records how a node may come to block: directly by the operation
+// desc (next is nil), or transitively through a call to next.
 type blockInfo struct {
 	desc string
-	pos  token.Pos
 	next *Node
 }
 
 // LockEdge is one lock-acquisition-order edge: To was acquired (directly at
 // Pos, or transitively via a call to Via at Pos) while From was held in N.
 type LockEdge struct {
-	From, To         string
-	FromMode, ToMode lockMode
-	N                *Node
-	Pos              token.Pos
-	Via              *Node
+	From, To string
+	N        *Node
+	Pos      token.Pos
+	Via      *Node
 }
 
 // selfAcqFinding records a lock acquired while the same lock is already held
@@ -140,6 +139,14 @@ type selfAcqFinding struct {
 	heldMode  lockMode
 	againMode lockMode
 	via       *Node
+}
+
+// unsupportedFinding records a lock operation in non-test code whose lock
+// the facts cannot key; call renders the called method ("mu.TryLock").
+type unsupportedFinding struct {
+	n    *Node
+	pos  token.Pos
+	call string
 }
 
 // deferLoopFinding records a `defer mu.Unlock()` registered inside a loop:
@@ -177,10 +184,11 @@ type LockFacts struct {
 	mayAcquire map[string]map[string]*acqInfo
 	mayBlock   map[string]*blockInfo
 
-	edges     []*LockEdge
-	selfAcq   []selfAcqFinding
-	deferLoop []deferLoopFinding
-	heldCalls []heldCallFinding
+	edges       []*LockEdge
+	selfAcq     []selfAcqFinding
+	deferLoop   []deferLoopFinding
+	heldCalls   []heldCallFinding
+	unsupported []unsupportedFinding
 
 	bgCalls  map[string][]Fact // context.Background()/TODO() sites per node
 	wantsCtx map[string]bool   // node does blocking or context-aware work
@@ -370,7 +378,7 @@ func (w *frameWalker) handleGo(x *ast.GoStmt, d *[]lockEvent, loop int, nbc map[
 	if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
 		ev.lit = lit
 		w.c.addUnit(unitGo, lit)
-	} else if fn := w.c.staticCallee(x.Call); fn != nil {
+	} else if fn := staticCallee(w.c.info, x.Call); fn != nil {
 		ev.callee = w.c.resolveModuleCallee(fn)
 	}
 	w.emit(d, ev)
@@ -422,9 +430,8 @@ func (w *frameWalker) handleSelect(x *ast.SelectStmt, d *[]lockEvent, loop int, 
 }
 
 // handleCall classifies one call and walks its operands. Immediately
-// invoked literals and sync.Once.Do literals run synchronously on this
-// goroutine and are inlined; literal arguments to anything else become
-// callback units.
+// invoked literals run synchronously on this goroutine and are inlined;
+// literal arguments become callback units.
 func (w *frameWalker) handleCall(x *ast.CallExpr, d *[]lockEvent, loop int, nbc map[ast.Node]bool) {
 	if lit, ok := ast.Unparen(x.Fun).(*ast.FuncLit); ok {
 		sub := &frameWalker{c: w.c}
@@ -435,24 +442,6 @@ func (w *frameWalker) handleCall(x *ast.CallExpr, d *[]lockEvent, loop int, nbc 
 		}
 		for _, a := range x.Args {
 			w.walk(a, d, loop, nbc)
-		}
-		return
-	}
-	if w.c.isOnceDo(x) && len(x.Args) == 1 {
-		if lit, ok := ast.Unparen(x.Args[0]).(*ast.FuncLit); ok {
-			sub := &frameWalker{c: w.c}
-			sub.walk(lit.Body, nil, 0, nil)
-			for _, ev := range sub.flush() {
-				ev.deferred = false
-				w.emit(d, ev)
-			}
-		} else if fn := w.c.funcValue(x.Args[0]); fn != nil {
-			if callee := w.c.resolveModuleCallee(fn); callee != nil {
-				w.emit(d, lockEvent{kind: evCall, pos: x.Pos(), callee: callee})
-			}
-		}
-		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-			w.walk(sel.X, d, loop, nbc)
 		}
 		return
 	}
@@ -473,33 +462,6 @@ func (w *frameWalker) walkCallOperands(x *ast.CallExpr, d *[]lockEvent, loop int
 	}
 }
 
-// staticCallee resolves the called function object, or nil for indirect
-// calls through function values.
-func (c *lockCollector) staticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// funcValue resolves a function-typed expression used as a value.
-func (c *lockCollector) funcValue(e ast.Expr) *types.Func {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		fn, _ := c.info.Uses[x].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.info.Uses[x.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // resolveModuleCallee maps a function object to its call-graph node, with
 // the same external-test ID handling the graph builder uses.
 func (c *lockCollector) resolveModuleCallee(fn *types.Func) *Node {
@@ -517,20 +479,6 @@ func (c *lockCollector) resolveModuleCallee(fn *types.Func) *Node {
 	return callee
 }
 
-// isOnceDo reports a (*sync.Once).Do call.
-func (c *lockCollector) isOnceDo(call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := c.info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Name() != "Do" {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	return sig != nil && sig.Recv() != nil && recvBaseName(sig.Recv().Type()) == "Once"
-}
-
 // classifyCall turns one call into a lock, blocking or module-call event.
 // It also records context.Background()/TODO() sites and whether the node
 // calls anything that takes a context (for ctxflow).
@@ -538,7 +486,7 @@ func (c *lockCollector) classifyCall(call *ast.CallExpr) (lockEvent, bool) {
 	if ev, ok := c.lockOp(call); ok {
 		return ev, true
 	}
-	fn := c.staticCallee(call)
+	fn := staticCallee(c.info, call)
 	if fn == nil {
 		return lockEvent{}, false
 	}
@@ -559,8 +507,9 @@ func (c *lockCollector) classifyCall(call *ast.CallExpr) (lockEvent, bool) {
 	return lockEvent{}, false
 }
 
-// lockOp recognizes sync.Mutex / sync.RWMutex acquire and release calls,
-// including promoted methods on embedded mutexes.
+// lockOp recognizes the lock operations of package sync. Lock, Unlock,
+// RLock and RUnlock on a keyable field mutex become events; every other
+// lock operation is recorded as unsupported.
 func (c *lockCollector) lockOp(call *ast.CallExpr) (lockEvent, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -574,87 +523,61 @@ func (c *lockCollector) lockOp(call *ast.CallExpr) (lockEvent, bool) {
 	if sig == nil || sig.Recv() == nil {
 		return lockEvent{}, false
 	}
-	recv := recvBaseName(sig.Recv().Type())
-	if recv != "Mutex" && recv != "RWMutex" {
-		return lockEvent{}, false
-	}
 	var kind evKind
 	var mode lockMode
-	switch fn.Name() {
-	case "Lock", "TryLock":
+	switch recvBaseName(sig.Recv().Type()) + "." + fn.Name() {
+	case "Mutex.Lock", "RWMutex.Lock":
 		kind, mode = evAcquire, modeWrite
-	case "Unlock":
+	case "Mutex.Unlock", "RWMutex.Unlock":
 		kind, mode = evRelease, modeWrite
-	case "RLock", "TryRLock":
+	case "RWMutex.RLock":
 		kind, mode = evAcquire, modeRead
-	case "RUnlock":
+	case "RWMutex.RUnlock":
 		kind, mode = evRelease, modeRead
+	case "Mutex.TryLock", "RWMutex.TryLock", "RWMutex.TryRLock", "Once.Do", "Locker.Lock", "Locker.Unlock":
+		c.unsupported(call, sel)
+		return lockEvent{}, false
 	default:
 		return lockEvent{}, false
 	}
-	return lockEvent{kind: kind, pos: call.Pos(), key: c.lockKeyFor(sel), mode: mode}, true
+	key := c.lockKeyFor(sel)
+	if key == "" {
+		c.unsupported(call, sel)
+		return lockEvent{}, false
+	}
+	return lockEvent{kind: kind, pos: call.Pos(), key: key, mode: mode}, true
 }
 
-// lockKeyFor derives the lock's stable identity from the method selector.
+// lockKeyFor keys the receiver of the method selector x.f.Lock as
+// "pkg.Type.f" when f is a field declared in the named struct type of x
+// (reached directly or through a pointer), and returns "" for any other
+// receiver: a package-level or local mutex, a method promoted through an
+// embedded mutex, a promoted field, an index or call expression.
 func (c *lockCollector) lockKeyFor(sel *ast.SelectorExpr) string {
-	// Promoted method on an embedded mutex: key by the receiver's named
-	// type plus the embedded field path ("pkg.T.Mutex").
-	if s, ok := c.info.Selections[sel]; ok && len(s.Index()) > 1 {
-		recv := s.Recv()
-		if name := namedDisplay(recv, c.lf.module); name != "" {
-			idx := s.Index()
-			cur := recv
-			var path []string
-			for _, i := range idx[:len(idx)-1] {
-				st, ok := derefType(cur).Underlying().(*types.Struct)
-				if !ok || i >= st.NumFields() {
-					path = nil
-					break
-				}
-				f := st.Field(i)
-				path = append(path, f.Name())
-				cur = f.Type()
-			}
-			if len(path) > 0 {
-				return name + "." + strings.Join(path, ".")
-			}
-		}
+	if m := c.info.Selections[sel]; m == nil || len(m.Index()) != 1 {
+		return ""
 	}
-	return c.keyForExpr(sel.X)
+	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	f := c.info.Selections[field]
+	if f == nil || f.Kind() != types.FieldVal || len(f.Index()) != 1 {
+		return ""
+	}
+	if name := namedDisplay(f.Recv(), c.lf.module); name != "" {
+		return name + "." + field.Sel.Name
+	}
+	return ""
 }
 
-// keyForExpr derives a lock key from the mutex-valued receiver expression.
-func (c *lockCollector) keyForExpr(e ast.Expr) string {
-	e = ast.Unparen(e)
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := c.info.Uses[x]
-		if obj == nil {
-			obj = c.info.Defs[x]
-		}
-		if v, ok := obj.(*types.Var); ok {
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return relModPath(v.Pkg().Path(), c.lf.module) + "." + v.Name()
-			}
-			return c.n.String() + "." + v.Name() + " (local)"
-		}
-	case *ast.SelectorExpr:
-		if v, ok := c.info.Uses[x.Sel].(*types.Var); ok {
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				// Qualified package-level var: pkg.mu.
-				return relModPath(v.Pkg().Path(), c.lf.module) + "." + v.Name()
-			}
-			if t := c.info.TypeOf(x.X); t != nil {
-				if name := namedDisplay(t, c.lf.module); name != "" {
-					return name + "." + v.Name()
-				}
-			}
-			if v.Pkg() != nil {
-				return relModPath(v.Pkg().Path(), c.lf.module) + "." + v.Name()
-			}
-		}
+// unsupported records a lock operation the facts cannot key. Test code is
+// exempt, as lockorder and heldcall skip it anyway.
+func (c *lockCollector) unsupported(call *ast.CallExpr, sel *ast.SelectorExpr) {
+	if !c.n.Test {
+		c.lf.unsupported = append(c.lf.unsupported,
+			unsupportedFinding{n: c.n, pos: call.Pos(), call: types.ExprString(sel)})
 	}
-	return c.n.String() + "." + types.ExprString(e) + " (expr)"
 }
 
 // derefType strips one level of pointer.
@@ -838,11 +761,11 @@ func (lf *LockFacts) computeSummaries() {
 			switch ev.kind {
 			case evAcquire:
 				if acq[ev.key] == nil {
-					acq[ev.key] = &acqInfo{mode: ev.mode, pos: ev.pos}
+					acq[ev.key] = &acqInfo{mode: ev.mode}
 				}
 			case evBlock:
 				if lf.mayBlock[n.ID] == nil {
-					lf.mayBlock[n.ID] = &blockInfo{desc: ev.block, pos: ev.pos}
+					lf.mayBlock[n.ID] = &blockInfo{desc: ev.block}
 				}
 			}
 		}
@@ -859,12 +782,12 @@ func (lf *LockFacts) computeSummaries() {
 				for _, key := range sortedKeys(lf.mayAcquire[ev.callee.ID]) {
 					if acq[key] == nil {
 						ci := lf.mayAcquire[ev.callee.ID][key]
-						acq[key] = &acqInfo{mode: ci.mode, pos: ev.pos, next: ev.callee}
+						acq[key] = &acqInfo{mode: ci.mode, next: ev.callee}
 						changed = true
 					}
 				}
 				if lf.mayBlock[ev.callee.ID] != nil && lf.mayBlock[n.ID] == nil {
-					lf.mayBlock[n.ID] = &blockInfo{pos: ev.pos, next: ev.callee}
+					lf.mayBlock[n.ID] = &blockInfo{next: ev.callee}
 					changed = true
 				}
 			}
@@ -915,32 +838,35 @@ func (lf *LockFacts) heldWalk() {
 				sort.Strings(out)
 				return out
 			}
+			// acquire checks key, taken in mode at pos (through a call to via
+			// when non-nil), against every held lock: the same key is a
+			// self-acquisition, any other adds a deduplicated order edge. It
+			// returns the index of key's held entry, or -1.
+			acquire := func(key string, mode lockMode, pos token.Pos, via *Node) int {
+				self := -1
+				for i, h := range held {
+					if h.key == key {
+						lf.selfAcq = append(lf.selfAcq, selfAcqFinding{
+							n: n, pos: pos, key: key,
+							heldMode: h.mode, againMode: mode, via: via,
+						})
+						self = i
+						continue
+					}
+					ek := h.key + "\x00" + key + "\x00" + n.ID
+					if !seenEdge[ek] {
+						seenEdge[ek] = true
+						lf.edges = append(lf.edges, &LockEdge{From: h.key, To: key, N: n, Pos: pos, Via: via})
+					}
+				}
+				return self
+			}
 			for _, ev := range u.events {
 				switch ev.kind {
 				case evAcquire:
-					nested := false
-					for i := range held {
-						h := &held[i]
-						if h.key == ev.key {
-							lf.selfAcq = append(lf.selfAcq, selfAcqFinding{
-								n: n, pos: ev.pos, key: ev.key,
-								heldMode: h.mode, againMode: ev.mode,
-							})
-							h.count++
-							nested = true
-							continue
-						}
-						ek := h.key + "\x00" + ev.key + "\x00" + n.ID
-						if !seenEdge[ek] {
-							seenEdge[ek] = true
-							lf.edges = append(lf.edges, &LockEdge{
-								From: h.key, To: ev.key,
-								FromMode: h.mode, ToMode: ev.mode,
-								N: n, Pos: ev.pos,
-							})
-						}
-					}
-					if !nested {
+					if i := acquire(ev.key, ev.mode, ev.pos, nil); i >= 0 {
+						held[i].count++
+					} else {
 						held = append(held, heldLock{key: ev.key, mode: ev.mode, count: 1})
 					}
 				case evRelease:
@@ -958,27 +884,8 @@ func (lf *LockFacts) heldWalk() {
 						continue
 					}
 					sum := lf.mayAcquire[ev.callee.ID]
-					for _, key2 := range sortedKeys(sum) {
-						for i := range held {
-							h := &held[i]
-							if h.key == key2 {
-								lf.selfAcq = append(lf.selfAcq, selfAcqFinding{
-									n: n, pos: ev.pos, key: key2,
-									heldMode: h.mode, againMode: sum[key2].mode,
-									via: ev.callee,
-								})
-								continue
-							}
-							ek := h.key + "\x00" + key2 + "\x00" + n.ID
-							if !seenEdge[ek] {
-								seenEdge[ek] = true
-								lf.edges = append(lf.edges, &LockEdge{
-									From: h.key, To: key2,
-									FromMode: h.mode, ToMode: sum[key2].mode,
-									N: n, Pos: ev.pos, Via: ev.callee,
-								})
-							}
-						}
+					for _, key := range sortedKeys(sum) {
+						acquire(key, sum[key].mode, ev.pos, ev.callee)
 					}
 					if lf.mayBlock[ev.callee.ID] != nil {
 						lf.heldCalls = append(lf.heldCalls, heldCallFinding{
@@ -1077,91 +984,4 @@ func (lf *LockFacts) blockPath(start *Node) (desc, chain string) {
 		cur = lf.mayBlock[cur.next.ID]
 	}
 	return "blocking operation", strings.Join(names, " -> ")
-}
-
-// WriteDOT dumps the lock-acquisition graph in Graphviz DOT form: one node
-// per lock key, one edge per distinct acquired-while-held pair, labeled
-// with a sample function.
-func (lf *LockFacts) WriteDOT(w io.Writer) error {
-	type edge struct{ from, to, label string }
-	seen := map[string]bool{}
-	var edges []edge
-	keys := map[string]bool{}
-	for _, e := range lf.edges {
-		keys[e.From], keys[e.To] = true, true
-		k := e.From + "\x00" + e.To
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		edges = append(edges, edge{from: e.From, to: e.To, label: e.N.String()})
-	}
-	for _, f := range lf.selfAcq {
-		keys[f.key] = true
-		k := f.key + "\x00" + f.key
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		edges = append(edges, edge{from: f.key, to: f.key, label: f.n.String()})
-	}
-	sortedK := make([]string, 0, len(keys))
-	for k := range keys {
-		sortedK = append(sortedK, k)
-	}
-	sort.Strings(sortedK)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
-	if _, err := fmt.Fprintln(w, "digraph lockgraph {"); err != nil {
-		return err
-	}
-	for _, k := range sortedK {
-		if _, err := fmt.Fprintf(w, "  %q;\n", k); err != nil {
-			return err
-		}
-	}
-	for _, e := range edges {
-		if _, err := fmt.Fprintf(w, "  %q -> %q [label=%q];\n", e.from, e.to, e.label); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}
-
-// WriteDOT dumps the call graph in Graphviz DOT form, test declarations
-// excluded, edges deduplicated per (caller, callee, kind).
-func (g *CallGraph) WriteDOT(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "digraph callgraph {"); err != nil {
-		return err
-	}
-	for _, n := range g.Nodes() {
-		if n.Test {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "  %q;\n", n.String()); err != nil {
-			return err
-		}
-		seen := map[string]bool{}
-		for _, e := range n.Out {
-			if e.Callee.Test {
-				continue
-			}
-			k := e.Callee.ID + "\x00" + e.Kind.String()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if _, err := fmt.Fprintf(w, "  %q -> %q [label=%q];\n",
-				n.String(), e.Callee.String(), e.Kind.String()); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

@@ -15,15 +15,15 @@ func buildFacts(t *testing.T, src string) *LockFacts {
 func TestLockFactsDeferUnlockInLoopFlagged(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func Drain(xs []int) {
+type S struct{ mu sync.Mutex }
+func (s *S) Drain(xs []int) {
 	for range xs {
-		mu.Lock()
-		defer mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
 	}
 }`)
 	diags := expect(t, pkg, LockOrder{}, 1)
-	if !strings.Contains(diags[0].Message, "defer releases dime.mu inside a loop") {
+	if !strings.Contains(diags[0].Message, "defer releases dime.S.mu inside a loop") {
 		t.Errorf("want defer-in-loop finding, got: %s", diags[0].Message)
 	}
 }
@@ -33,12 +33,12 @@ func TestLockFactsIIFEInLoopNotFlagged(t *testing.T) {
 	// the end of every iteration, so the idiom is correct and must be clean.
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func Drain(xs []int) {
+type S struct{ mu sync.Mutex }
+func (s *S) Drain(xs []int) {
 	for range xs {
 		func() {
-			mu.Lock()
-			defer mu.Unlock()
+			s.mu.Lock()
+			defer s.mu.Unlock()
 		}()
 	}
 }`)
@@ -50,45 +50,16 @@ func TestLockFactsRLockRLockUnderWriterPressure(t *testing.T) {
 	// reads; the message must say so rather than claim a plain self-deadlock.
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.RWMutex
-func Nested() {
-	mu.RLock()
-	defer mu.RUnlock()
-	mu.RLock()
-	defer mu.RUnlock()
+type S struct{ mu sync.RWMutex }
+func (s *S) Nested() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 }`)
 	diags := expect(t, pkg, LockOrder{}, 1)
 	if !strings.Contains(diags[0].Message, "deadlocks if a writer is waiting between the two RLocks") {
 		t.Errorf("want reader-reader warning, got: %s", diags[0].Message)
-	}
-}
-
-func TestLockFactsOnceDoLiteralInlined(t *testing.T) {
-	// The sync.Once.Do literal runs on the caller's stack with the caller's
-	// locks held: an acquisition inside it is charged to the enclosing
-	// function, so the a→b edge must exist in the lock graph.
-	lf := buildFacts(t, `package dime
-import "sync"
-var (
-	a, b sync.Mutex
-	once sync.Once
-)
-func Init() {
-	a.Lock()
-	defer a.Unlock()
-	once.Do(func() {
-		b.Lock()
-		defer b.Unlock()
-	})
-}`)
-	found := false
-	for _, e := range lf.edges {
-		if e.From == "dime.a" && e.To == "dime.b" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("want a->b lock edge from the inlined Once.Do literal, got edges: %+v", lf.edges)
 	}
 }
 
@@ -98,94 +69,102 @@ func TestLockFactsGoroutineBodyNotChargedToParent(t *testing.T) {
 	// re-entrance, and must not produce a self-deadlock finding.
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func Spawn(done chan struct{}) {
-	mu.Lock()
-	defer mu.Unlock()
+type S struct{ mu sync.Mutex }
+func (s *S) Spawn(done chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	go func() {
-		mu.Lock()
-		mu.Unlock()
+		s.mu.Lock()
+		s.mu.Unlock()
 		close(done)
 	}()
 }`)
 	expect(t, pkg, LockOrder{}, 0)
 }
 
-func TestLockFactsCopiedMutexGetsDistinctLocalKey(t *testing.T) {
-	// A mutex value copied into a local is a different lock (vet's copylocks
-	// catches the copy itself); the fact layer keys it as a local of the
-	// copying function so it cannot alias the field's key across functions.
-	lf := buildFacts(t, `package dime
-import "sync"
-type box struct{ mu sync.Mutex }
-func Field(b *box) {
-	b.mu.Lock()
-	b.mu.Unlock()
-}
-func Copied(b *box) {
-	mu := b.mu
+func TestLockFactsUnsupportedShapesFailClosed(t *testing.T) {
+	// Every lock operation the facts cannot key is a lockorder finding at
+	// the call in library code, so coverage cannot shrink silently; test
+	// code is exempt, like the rest of lockorder and heldcall.
+	for _, tc := range []struct {
+		name, src string
+		calls     []string // the unsupported calls, in source order
+	}{
+		{"package-level mutex", `var mu sync.Mutex
+func F() {
 	mu.Lock()
 	mu.Unlock()
-}`)
-	keys := map[string]bool{}
-	for _, byKey := range lf.mayAcquire {
-		for k := range byKey {
-			keys[k] = true
-		}
-	}
-	if !keys["dime.box.mu"] {
-		t.Errorf("field mutex should key by receiver type, got keys: %v", keys)
-	}
-	local := ""
-	for k := range keys {
-		if strings.Contains(k, "(local)") {
-			local = k
-		}
-	}
-	if local == "" || local == "dime.box.mu" {
-		t.Errorf("copied mutex should get a distinct local key, got keys: %v", keys)
-	}
+}`, []string{"mu.Lock", "mu.Unlock"}},
+		{"local mutex", `type T struct{ mu sync.Mutex }
+func (t *T) F() {
+	mu := t.mu
+	mu.Lock()
+	mu.Unlock()
+}`, []string{"mu.Lock", "mu.Unlock"}},
+		{"promoted method of an embedded mutex", `type T struct{ sync.Mutex }
+func (t *T) F() {
+	t.Lock()
+	t.Unlock()
+}`, []string{"t.Lock", "t.Unlock"}},
+		{"promoted field", `type inner struct{ mu sync.Mutex }
+type T struct{ inner }
+func (t *T) F() {
+	t.mu.Lock()
+	t.mu.Unlock()
+}`, []string{"t.mu.Lock", "t.mu.Unlock"}},
+		{"indexed mutex", `type T struct{ mus []sync.RWMutex }
+func (t *T) F() {
+	t.mus[0].RLock()
+	t.mus[0].RUnlock()
+}`, []string{"t.mus[0].RLock", "t.mus[0].RUnlock"}},
+		{"TryLock and TryRLock", `type T struct {
+	mu sync.Mutex
+	rw sync.RWMutex
 }
-
-func TestLockFactsPromotedEmbeddedMutexKeysByOuterType(t *testing.T) {
-	// s.Lock() through an embedded sync.Mutex is the outer value's lock:
-	// both the promoted call and the explicit field path must agree on one
-	// key, or ordering across the two spellings would be invisible.
-	lf := buildFacts(t, `package dime
-import "sync"
-type store struct{ sync.Mutex }
-func Promoted(s *store) {
-	s.Lock()
-	s.Unlock()
-}
-func Explicit(s *store) {
-	s.Mutex.Lock()
-	s.Mutex.Unlock()
-}`)
-	keys := map[string]bool{}
-	for _, byKey := range lf.mayAcquire {
-		for k := range byKey {
-			keys[k] = true
-		}
+func (t *T) F() {
+	if t.mu.TryLock() {
+		t.mu.Unlock()
 	}
-	if len(keys) != 1 || !keys["dime.store.Mutex"] {
-		t.Errorf("promoted and explicit spellings should share one key, got: %v", keys)
+	if t.rw.TryRLock() {
+		t.rw.RUnlock()
+	}
+}`, []string{"t.mu.TryLock", "t.rw.TryRLock"}},
+		{"sync.Locker", `type T struct{ l sync.Locker }
+func (t *T) F() {
+	t.l.Lock()
+	t.l.Unlock()
+}`, []string{"t.l.Lock", "t.l.Unlock"}},
+		{"sync.Once.Do", `type T struct{ once sync.Once }
+func (t *T) F() {
+	t.once.Do(func() {})
+}`, []string{"t.once.Do"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "package dime\nimport \"sync\"\n" + tc.src
+			diags := expect(t, fixture(t, "dime", "fixture.go", src), LockOrder{}, len(tc.calls))
+			for i, d := range diags {
+				if want := "unsupported lock shape: " + tc.calls[i] + " in dime."; !strings.HasPrefix(d.Message, want) {
+					t.Errorf("finding %d = %q, want prefix %q", i, d.Message, want)
+				}
+			}
+			expect(t, fixture(t, "dime", "fixture_test.go", src), LockOrder{}, 0)
+		})
 	}
 }
 
 func TestLockFactsSummaryPropagatesThroughChain(t *testing.T) {
 	// mayAcquire reaches a fixpoint through static call chains: Top never
-	// touches a mutex directly but may acquire dime.mu two hops down.
+	// touches a mutex directly but may acquire dime.S.mu two hops down.
 	lf := buildFacts(t, `package dime
 import "sync"
-var mu sync.Mutex
-func Top() { mid() }
-func mid() { leaf() }
-func leaf() {
-	mu.Lock()
-	mu.Unlock()
+type S struct{ mu sync.Mutex }
+func (s *S) Top() { s.mid() }
+func (s *S) mid() { s.leaf() }
+func (s *S) leaf() {
+	s.mu.Lock()
+	s.mu.Unlock()
 }`)
-	if _, ok := lf.mayAcquire["dime.Top"]["dime.mu"]; !ok {
-		t.Errorf("Top should inherit leaf's acquisition, got: %+v", lf.mayAcquire["dime.Top"])
+	if _, ok := lf.mayAcquire["dime.S.Top"]["dime.S.mu"]; !ok {
+		t.Errorf("Top should inherit leaf's acquisition, got: %+v", lf.mayAcquire["dime.S.Top"])
 	}
 }

@@ -4,8 +4,9 @@ package lint
 // the shared lock-fact layer (lockfacts.go).
 //
 //   - lockorder: lock-acquisition-order cycles (potential deadlocks),
-//     same-lock re-acquisition (direct or via a call chain), and
-//     `defer mu.Unlock()` registered inside a loop.
+//     same-lock re-acquisition (direct or via a call chain), `defer
+//     mu.Unlock()` registered inside a loop, and every lock operation the
+//     fact layer cannot key ("unsupported lock shape").
 //   - heldcall: blocking operations — channel ops outside a select with
 //     default, WaitGroup.Wait, sleeps, network/file I/O, or calls into
 //     functions that themselves block — executed while a lock is held.
@@ -17,11 +18,12 @@ package lint
 //     parameter received but never used by a function doing blocking or
 //     context-aware work.
 //
-// lockorder and heldcall scan every non-test function in the module (a
-// deadlock does not care how the code was reached); goleak and ctxflow are
-// rooted at entry points, detersafe-style. Findings are suppressed with the
-// standard //lint:ignore directive or recorded in lint.baseline.json like
-// every other finding (kept empty: fix or carry a reasoned ignore instead).
+// A lock is known by one shape only: a sync.Mutex or sync.RWMutex field of
+// a named struct type, locked as x.f.Lock(). lockorder and heldcall scan
+// every non-test function in the module (a deadlock does not care how the
+// code was reached); goleak and ctxflow are rooted at entry points,
+// detersafe-style. Findings are suppressed with the standard //lint:ignore
+// directive.
 
 import (
 	"go/ast"
@@ -30,12 +32,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// LockLintNames lists the locklint analyzer names — the group behind
-// cmd/dimelint's `-only locklint` alias.
-func LockLintNames() []string {
-	return []string{"lockorder", "heldcall", "goleak", "ctxflow"}
-}
 
 // DefaultServeEntryPoints roots goleak at the serving-era surfaces: the
 // module-root facade plus every exported function of the server, the
@@ -67,15 +63,16 @@ func (LockOrder) Name() string { return "lockorder" }
 
 // Doc implements Analyzer.
 func (LockOrder) Doc() string {
-	return "lock-acquisition-order cycle, same-lock re-acquisition, or deferred unlock in a loop: potential deadlock"
+	return "lock-acquisition-order cycle, same-lock re-acquisition, deferred unlock in a loop, or a lock shape the lock facts cannot key"
 }
 
-// Run implements Analyzer; lockorder is interprocedural, see RunModule.
-func (LockOrder) Run(*Pass) {}
-
-// RunModule implements ModuleAnalyzer.
-func (LockOrder) RunModule(mp *ModulePass) {
+// Run implements Analyzer.
+func (LockOrder) Run(mp *ModulePass) {
 	lf := mp.LockFacts()
+	for _, f := range lf.unsupported {
+		mp.Reportf(f.pos, "unsupported lock shape: %s in %s; lock facts key only Lock, Unlock, RLock and RUnlock on a mutex field of a named struct type (x.f.Lock()), so this lock would go unchecked",
+			f.call, f.n.String())
+	}
 	for _, f := range lf.deferLoop {
 		mp.Reportf(f.pos, "defer releases %s inside a loop: the unlock only runs at function exit, so the next iteration deadlocks against it", f.key)
 	}
@@ -216,11 +213,8 @@ func (HeldCall) Doc() string {
 	return "blocking operation (channel op, Wait, sleep, network/file I/O, or a call that blocks) while holding a lock"
 }
 
-// Run implements Analyzer; heldcall is interprocedural, see RunModule.
-func (HeldCall) Run(*Pass) {}
-
-// RunModule implements ModuleAnalyzer.
-func (HeldCall) RunModule(mp *ModulePass) {
+// Run implements Analyzer.
+func (HeldCall) Run(mp *ModulePass) {
 	lf := mp.LockFacts()
 	for _, f := range lf.heldCalls {
 		held := strings.Join(f.held, ", ")
@@ -250,11 +244,8 @@ func (GoLeak) Doc() string {
 	return "goroutine reachable from a serving entry point runs an unbounded loop with no cancellation path (no channel or ctx.Done receive)"
 }
 
-// Run implements Analyzer; goleak is interprocedural, see RunModule.
-func (GoLeak) Run(*Pass) {}
-
-// RunModule implements ModuleAnalyzer.
-func (a GoLeak) RunModule(mp *ModulePass) {
+// Run implements Analyzer.
+func (a GoLeak) Run(mp *ModulePass) {
 	entries := a.Entries
 	if entries == nil {
 		entries = DefaultServeEntryPoints
@@ -338,11 +329,8 @@ func (CtxFlow) Doc() string {
 	return "request path drops the caller's context: context.Background()/TODO() reachable from an entry point, or a ctx parameter received but never used"
 }
 
-// Run implements Analyzer; ctxflow is interprocedural, see RunModule.
-func (CtxFlow) Run(*Pass) {}
-
-// RunModule implements ModuleAnalyzer.
-func (a CtxFlow) RunModule(mp *ModulePass) {
+// Run implements Analyzer.
+func (a CtxFlow) Run(mp *ModulePass) {
 	entries := a.Entries
 	if entries == nil {
 		entries = DefaultCtxEntryPoints

@@ -5,27 +5,30 @@ import (
 	"testing"
 )
 
+// The lockorder and heldcall fixtures lock mutex fields of a named struct
+// type, the one lock shape the fact layer keys ("dime.S.mu").
+
 // --- lockorder ---
 
 func TestLockOrderFlagsABBAInversion(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var a, b sync.Mutex
-func AB() {
-	a.Lock()
-	defer a.Unlock()
-	b.Lock()
-	defer b.Unlock()
+type S struct{ a, b sync.Mutex }
+func (s *S) AB() {
+	s.a.Lock()
+	defer s.a.Unlock()
+	s.b.Lock()
+	defer s.b.Unlock()
 }
-func BA() {
-	b.Lock()
-	defer b.Unlock()
-	a.Lock()
-	defer a.Unlock()
+func (s *S) BA() {
+	s.b.Lock()
+	defer s.b.Unlock()
+	s.a.Lock()
+	defer s.a.Unlock()
 }`)
 	diags := expect(t, pkg, LockOrder{}, 2)
 	for _, d := range diags {
-		if !strings.Contains(d.Message, "lock order inversion") || !strings.Contains(d.Message, "cycle: dime.a -> dime.b") {
+		if !strings.Contains(d.Message, "lock order inversion") || !strings.Contains(d.Message, "cycle: dime.S.a -> dime.S.b") {
 			t.Errorf("want inversion with cycle members, got: %s", d.Message)
 		}
 	}
@@ -34,18 +37,18 @@ func BA() {
 func TestLockOrderCleanOnConsistentOrder(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var a, b sync.Mutex
-func AB() {
-	a.Lock()
-	defer a.Unlock()
-	b.Lock()
-	defer b.Unlock()
+type S struct{ a, b sync.Mutex }
+func (s *S) AB() {
+	s.a.Lock()
+	defer s.a.Unlock()
+	s.b.Lock()
+	defer s.b.Unlock()
 }
-func AlsoAB() {
-	a.Lock()
-	b.Lock()
-	b.Unlock()
-	a.Unlock()
+func (s *S) AlsoAB() {
+	s.a.Lock()
+	s.b.Lock()
+	s.b.Unlock()
+	s.a.Unlock()
 }`)
 	expect(t, pkg, LockOrder{}, 0)
 }
@@ -53,15 +56,15 @@ func AlsoAB() {
 func TestLockOrderFlagsDirectReacquisition(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func Twice() {
-	mu.Lock()
-	mu.Lock()
-	mu.Unlock()
-	mu.Unlock()
+type S struct{ mu sync.Mutex }
+func (s *S) Twice() {
+	s.mu.Lock()
+	s.mu.Lock()
+	s.mu.Unlock()
+	s.mu.Unlock()
 }`)
 	diags := expect(t, pkg, LockOrder{}, 1)
-	if !strings.Contains(diags[0].Message, "self-deadlock") || !strings.Contains(diags[0].Message, "dime.mu is Locked while dime.Twice already holds it") {
+	if !strings.Contains(diags[0].Message, "self-deadlock") || !strings.Contains(diags[0].Message, "dime.S.mu is Locked while dime.S.Twice already holds it") {
 		t.Errorf("want direct self-deadlock, got: %s", diags[0].Message)
 	}
 }
@@ -69,19 +72,19 @@ func Twice() {
 func TestLockOrderFlagsReacquisitionThroughCallChain(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func Outer() {
-	mu.Lock()
-	defer mu.Unlock()
-	helper()
+type S struct{ mu sync.Mutex }
+func (s *S) Outer() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.helper()
 }
-func helper() {
-	mu.Lock()
-	defer mu.Unlock()
+func (s *S) helper() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 }`)
 	diags := expect(t, pkg, LockOrder{}, 1)
 	msg := diags[0].Message
-	if !strings.Contains(msg, "via the call to dime.helper") || !strings.Contains(msg, "chain:") {
+	if !strings.Contains(msg, "via the call to dime.S.helper") || !strings.Contains(msg, "chain:") {
 		t.Errorf("want interprocedural re-acquisition with chain, got: %s", msg)
 	}
 }
@@ -89,12 +92,12 @@ func helper() {
 func TestLockOrderFlagsReadToWriteUpgrade(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.RWMutex
-func Upgrade() {
-	mu.RLock()
-	defer mu.RUnlock()
-	mu.Lock()
-	defer mu.Unlock()
+type S struct{ mu sync.RWMutex }
+func (s *S) Upgrade() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 }`)
 	diags := expect(t, pkg, LockOrder{}, 1)
 	if !strings.Contains(diags[0].Message, "read-to-write upgrade") {
@@ -105,13 +108,13 @@ func Upgrade() {
 func TestLockOrderSuppressedByIgnore(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func Twice() {
-	mu.Lock()
+type S struct{ mu sync.Mutex }
+func (s *S) Twice() {
+	s.mu.Lock()
 	//lint:ignore lockorder intentional for the test
-	mu.Lock()
-	mu.Unlock()
-	mu.Unlock()
+	s.mu.Lock()
+	s.mu.Unlock()
+	s.mu.Unlock()
 }`)
 	expect(t, pkg, LockOrder{}, 0)
 }
@@ -124,14 +127,14 @@ import (
 	"sync"
 	"time"
 )
-var mu sync.Mutex
-func Slow() {
-	mu.Lock()
-	defer mu.Unlock()
+type S struct{ mu sync.Mutex }
+func (s *S) Slow() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	time.Sleep(time.Millisecond)
 }`)
 	diags := expect(t, pkg, HeldCall{}, 1)
-	if !strings.Contains(diags[0].Message, "time.Sleep while dime.Slow holds dime.mu") {
+	if !strings.Contains(diags[0].Message, "time.Sleep while dime.S.Slow holds dime.S.mu") {
 		t.Errorf("want sleep-under-lock, got: %s", diags[0].Message)
 	}
 }
@@ -142,10 +145,10 @@ import (
 	"sync"
 	"time"
 )
-var mu sync.Mutex
-func Quick() {
-	mu.Lock()
-	mu.Unlock()
+type S struct{ mu sync.Mutex }
+func (s *S) Quick() {
+	s.mu.Lock()
+	s.mu.Unlock()
 	time.Sleep(time.Millisecond)
 }`)
 	expect(t, pkg, HeldCall{}, 0)
@@ -154,10 +157,10 @@ func Quick() {
 func TestHeldCallFlagsChannelSendUnderLock(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func Send(ch chan int) {
-	mu.Lock()
-	defer mu.Unlock()
+type S struct{ mu sync.Mutex }
+func (s *S) Send(ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ch <- 1
 }`)
 	diags := expect(t, pkg, HeldCall{}, 1)
@@ -169,10 +172,10 @@ func Send(ch chan int) {
 func TestHeldCallCleanOnSelectWithDefault(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-func TrySend(ch chan int) {
-	mu.Lock()
-	defer mu.Unlock()
+type S struct{ mu sync.Mutex }
+func (s *S) TrySend(ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	select {
 	case ch <- 1:
 	default:
@@ -184,19 +187,21 @@ func TrySend(ch chan int) {
 func TestHeldCallFlagsBlockingCallee(t *testing.T) {
 	pkg := fixture(t, "dime", "fixture.go", `package dime
 import "sync"
-var mu sync.Mutex
-var wg sync.WaitGroup
-func Flush() {
-	mu.Lock()
-	defer mu.Unlock()
-	drain()
+type S struct {
+	mu sync.Mutex
+	wg sync.WaitGroup
 }
-func drain() {
-	wg.Wait()
+func (s *S) Flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.drain()
+}
+func (s *S) drain() {
+	s.wg.Wait()
 }`)
 	diags := expect(t, pkg, HeldCall{}, 1)
 	msg := diags[0].Message
-	if !strings.Contains(msg, "call to dime.drain may block") || !strings.Contains(msg, "sync.WaitGroup.Wait") {
+	if !strings.Contains(msg, "call to dime.S.drain may block") || !strings.Contains(msg, "sync.WaitGroup.Wait") {
 		t.Errorf("want blocking-callee with cause, got: %s", msg)
 	}
 }

@@ -29,11 +29,8 @@ func (PanicProp) Doc() string {
 	return "panic in library code, or exported API from which one is transitively reachable, outside recover/MustX conventions"
 }
 
-// Run implements Analyzer; panicprop is interprocedural, see RunModule.
-func (PanicProp) Run(*Pass) {}
-
-// RunModule implements ModuleAnalyzer.
-func (PanicProp) RunModule(mp *ModulePass) {
+// Run implements Analyzer.
+func (PanicProp) Run(mp *ModulePass) {
 	nodes := mp.Graph.Nodes()
 
 	// canPanic[n]: a panic can escape out of a call to n. Computed as a
