@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test serve-test chaos-test lint check bench trend
+.PHONY: build test serve-test lint check bench trend
 
 build:
 	$(GO) build ./...
@@ -8,26 +8,19 @@ build:
 test:
 	$(GO) test ./...
 
-# The serving layer's gates in isolation: the HTTP conformance suite at the
-# repo root (in-process ≡ over-HTTP byte-identity on one corpus per worker
-# count: the first discover computes DIME+ at that count, a second on the
-# unchanged corpus reuses its result), plus the endpoint golden,
-# backpressure, shutdown, reuse and stress tests — all race-enabled.
-# `make check` covers these too via its full -race run.
+# The serving layer's gates in isolation, all race-enabled: the one served
+# replay (difftest.DiffServe) in both of its suites at the repo root — the
+# fault-free conformance suite (one corpus per case and worker count, a
+# client with one attempt per call) and the chaos suite (three fault seeds,
+# injectors on both sides of the wire, the retrying client). Each demands
+# byte-identity with in-process DIME+, one job per submission, and one
+# computed job per corpus whose result the others reuse. Then the endpoint
+# golden, backpressure, shutdown, reuse and stress tests, the fault-injector
+# and client unit tests, and dimed's entry point. `make check` covers these
+# too via its full -race run.
 serve-test:
-	$(GO) test -race -run TestDifferentialServeHTTP .
-	$(GO) test -race ./internal/serve/ ./cmd/dimed/
-
-# The resilience gate: the chaos differential suite (the 210-group corpus
-# replayed through a fault-injected server with the resilient client at
-# three chaos seeds, demanding byte-identical results, zero duplicated jobs
-# and zero client-visible failures; each case computes DIME+ once, at a
-# worker count rotated by case index, and its other submissions reuse that
-# result) plus the fault-injector and client unit tests — all race-enabled.
-# `make check` covers these too via its full -race run.
-chaos-test:
-	$(GO) test -race -run TestDifferentialChaosHTTP .
-	$(GO) test -race ./internal/fault/ ./internal/client/
+	$(GO) test -race -run 'TestDifferential(Serve|Chaos)HTTP$$' .
+	$(GO) test -race ./internal/serve/ ./internal/fault/ ./internal/client/ ./cmd/dimed/
 
 # Static analysis: the eight dimelint analyzers over the module (nested
 # bench/ module included); exits 1 on any finding. Fix a finding or carry a

@@ -350,19 +350,6 @@ func TestFlightThresholdDropsFastRuns(t *testing.T) {
 	}
 }
 
-func TestLogFlagEmitsSpans(t *testing.T) {
-	in := singleGroupFile(t, t.TempDir())
-	_, stderr, code := runCLI(t, "-in", in, "-preset", "scholar", "-log")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	for _, phase := range []string{"dime+", obs.PhaseCandidateGen, obs.PhaseNegativeVerify} {
-		if !strings.Contains(stderr, "msg="+phase) {
-			t.Errorf("log output missing span %q:\n%s", phase, stderr)
-		}
-	}
-}
-
 // TestIntraWorkersFlagIdenticalOutput pins the -intra-workers contract at
 // the CLI level: every worker count must print the same levels AND the same
 // stats line, because the parallel path is byte-identical to the sequential
@@ -399,5 +386,11 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, stderr, code := runCLI(t, "-in", "/nonexistent.json", "-preset", "scholar"); code != 1 || !strings.Contains(stderr, "dime:") {
 		t.Fatalf("missing input: code %d, stderr %q", code, stderr)
+	}
+	// There is no -log flag: spans leave through -trace or /debug/flight,
+	// in the one trace format.
+	in := singleGroupFile(t, t.TempDir())
+	if _, stderr, code := runCLI(t, "-in", in, "-preset", "scholar", "-log"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -log") {
+		t.Fatalf("-log: code %d, stderr %q", code, stderr)
 	}
 }

@@ -7,7 +7,7 @@
 //	dime -in group.json -pos "ov(Authors) >= 2" -pos "..." -neg "ov(Authors) = 0"
 //	dime -in group.json -rules rules.json [-ontology tree.json -tree Venue]
 //	dime -in labeled.json -preset scholar -learn rules.json
-//	dime -in group.json -preset scholar -trace trace.json -log
+//	dime -in group.json -preset scholar -trace trace.json
 //	dime -in corpus.jsonl -preset scholar -stats -serve-debug :6060
 //
 // With a preset, the paper's rule set and record configuration for that
@@ -24,9 +24,8 @@
 // /debug/flight JSON format: one flattened span tree per run with every
 // pipeline phase, its timings and work counters, and every run of the input
 // kept. -flight-threshold drops runs shorter than the bound, and
-// -flight-resources attaches per-span heap-allocation deltas. -log emits one
-// structured log line per completed phase to stderr; -serve-debug ADDR
-// serves /debug/pprof/, /debug/vars, /debug/flight (the same recorder) and a
+// -flight-resources attaches per-span heap-allocation deltas. -serve-debug
+// ADDR serves /debug/pprof/, /debug/flight (the same recorder) and a
 // Prometheus-format /metrics for the duration of the run and then waits for
 // ctrl-c so the endpoints can be inspected. -metrics-out FILE writes the
 // final Prometheus text snapshot. With -stats, phase-latency quantiles
@@ -38,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"os"
 	"os/signal"
@@ -89,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profile    = fs.Bool("profile", false, "profile the group's attributes (coverage, token shape, separability) and exit")
 		intra      = fs.Int("intra-workers", 0, "worker goroutines within each DIME+ run (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		traceFile  = fs.String("trace", "", "write the flight-recorder dump of every run (the /debug/flight JSON format) to this file")
-		logSpans   = fs.Bool("log", false, "emit one structured log line per completed phase to stderr")
-		serveDebug = fs.String("serve-debug", "", "serve /debug/pprof/, /debug/vars, /debug/flight and /metrics on this address (e.g. :6060)")
+		serveDebug = fs.String("serve-debug", "", "serve /debug/pprof/, /debug/flight and /metrics on this address (e.g. :6060)")
 		metricsOut = fs.String("metrics-out", "", "write the final metrics snapshot in Prometheus text format to this file")
 		flightThr  = fs.Duration("flight-threshold", 0, "-trace and /debug/flight keep only runs at least this long (0 keeps all)")
 		flightRes  = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to -trace and /debug/flight events")
@@ -116,19 +113,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Observability wiring: any combination of per-span logs, the metrics
-	// registry (behind the debug server and/or -metrics-out and -stats
-	// quantiles), and the flight recorder (behind -trace and the debug
-	// server).
+	// Observability wiring: the metrics registry (behind the debug server
+	// and/or -metrics-out and -stats quantiles), the flight recorder (behind
+	// -trace and the debug server), or both.
 	var (
 		reg    *obs.Registry
 		fr     *obs.FlightRecorder
 		probes []obs.Probe
 		srv    *obs.DebugServer
 	)
-	if *logSpans {
-		probes = append(probes, obs.Logged(obs.NewLogger(stderr, slog.LevelInfo), slog.LevelInfo))
-	}
 	if *serveDebug != "" {
 		// The debug server exposes the process-wide registry, so feed that
 		// one; otherwise a run-local registry keeps the snapshot scoped.

@@ -1,14 +1,12 @@
 // Command dimed is the long-lived DIME discovery server: an HTTP JSON API
 // over per-corpus incremental Session state, with asynchronous discovery
 // jobs on a bounded worker pool and the repository's debug surface
-// (/metrics, /debug/vars, /debug/flight, /debug/pprof/) built in.
+// (/metrics, /debug/flight, /debug/pprof/) built in.
 //
 // Usage:
 //
 //	dimed [-addr :8080] [-workers N] [-queue N] [-request-timeout 30s]
 //	      [-shutdown-grace 30s] [-flight-threshold 0] [-flight-resources]
-//	      [-chaos] [-chaos-seed 1] [-chaos-rate 0.1] [-chaos-latency 5ms]
-//	      [-chaos-budget 0]
 //
 // Endpoints (see internal/serve for the full contract):
 //
@@ -23,13 +21,6 @@
 // Built-in profiles: scholar, amazon, dbgen. A full job queue returns 429
 // (backpressure); draining returns 503. On SIGINT/SIGTERM the server drains
 // queued and running jobs (bounded by -shutdown-grace) before exiting.
-//
-// The -chaos flags (testing only) mount a deterministic internal/fault
-// middleware in front of the API: seeded rules inject latency and 503
-// refusals on every route, and connection resets / truncated bodies on the
-// routes a resilient client can safely retry (GETs and the
-// idempotency-keyed discover). Same seed, same request sequence, same
-// faults; fire counts appear in /metrics as dime.fault.*.
 package main
 
 import (
@@ -42,24 +33,9 @@ import (
 	"syscall"
 	"time"
 
-	"dime/internal/fault"
 	"dime/internal/obs"
 	"dime/internal/serve"
 )
-
-// chaosRules builds the -chaos rule set, scoped by replay safety: latency
-// and pre-handler 503 refusals are safe on every route (the handler never
-// ran); resets and truncations go only where a correct client can retry —
-// GETs and the idempotency-keyed discover POST.
-func chaosRules(rate float64, latency time.Duration, budget int) []fault.Rule {
-	return []fault.Rule{
-		{Name: "latency", P: rate, Kind: fault.KindLatency, Latency: latency, Budget: budget},
-		{Name: "refuse-503", P: rate, Kind: fault.KindStatus, Status: 503, RetryAfter: "1", Budget: budget},
-		{Name: "get-reset", Method: "GET", P: rate, Kind: fault.KindReset, Budget: budget},
-		{Name: "get-truncate", Method: "GET", P: rate, Kind: fault.KindTruncate, Budget: budget},
-		{Name: "discover-truncate", Method: "POST", Path: "*/discover", P: rate, Kind: fault.KindTruncate, Budget: budget},
-	}
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -82,12 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		grace     = fs.Duration("shutdown-grace", 30*time.Second, "drain budget for queued/running jobs and in-flight requests on shutdown")
 		flightThr = fs.Duration("flight-threshold", 0, "flight recorder keeps only requests/runs at least this slow (0 keeps all)")
 		flightRes = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to flight-recorder events")
-
-		chaos       = fs.Bool("chaos", false, "mount deterministic fault-injection middleware (testing only)")
-		chaosSeed   = fs.Int64("chaos-seed", 1, "seed for -chaos fault decisions (same seed + same requests = same faults)")
-		chaosRate   = fs.Float64("chaos-rate", 0.1, "per-rule fire probability for -chaos (0..1)")
-		chaosLat    = fs.Duration("chaos-latency", 5*time.Millisecond, "latency injected per -chaos latency fire")
-		chaosBudget = fs.Int("chaos-budget", 0, "per-rule cap on -chaos fires (0 = unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -107,16 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Resources: *flightRes,
 		}),
 	})
-	if *chaos {
-		inj := fault.NewInjector(fault.Options{
-			Seed:     *chaosSeed,
-			Registry: obs.Default(),
-			Rules:    chaosRules(*chaosRate, *chaosLat, *chaosBudget),
-		})
-		srv.WrapHandler(inj.Middleware)
-		fmt.Fprintf(stderr, "dimed: CHAOS fault injection enabled (seed %d, rate %g, budget %d)\n",
-			*chaosSeed, *chaosRate, *chaosBudget)
-	}
 	if err := srv.Start(*addr); err != nil {
 		fmt.Fprintf(stderr, "dimed: %v\n", err)
 		return 1

@@ -8,8 +8,8 @@
 //	experiments [-exp N] [-detail] [-large] [-full] [-pages N] [-pubs N] [-seed S] [-serve-debug :6060]
 //
 // Without -exp, every experiment runs in order. -serve-debug exposes
-// /debug/pprof/, /debug/vars, /debug/flight and a Prometheus-format /metrics
-// for the duration of the run, so long sweeps can be profiled live.
+// /debug/pprof/, /debug/flight and a Prometheus-format /metrics for the
+// duration of the run, so long sweeps can be profiled live.
 package main
 
 import (
@@ -31,7 +31,7 @@ func main() {
 		pubs       = flag.Int("pubs", 0, "publications per page (default 150; paper avg 340)")
 		seed       = flag.Int64("seed", 0, "generation seed (default 2018)")
 		chart      = flag.Bool("chart", false, "render each table's numeric columns as bar charts too")
-		serveDebug = flag.String("serve-debug", "", "serve /debug/pprof/, /debug/vars, /debug/flight and /metrics on this address while experiments run")
+		serveDebug = flag.String("serve-debug", "", "serve /debug/pprof/, /debug/flight and /metrics on this address while experiments run")
 	)
 	flag.Parse()
 

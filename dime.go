@@ -227,9 +227,9 @@ func MultiProbe(probes ...Probe) Probe { return obs.Multi(probes...) }
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder { return obs.NewFlightRecorder(opts) }
 
 // ServeDebug starts an HTTP server on addr exposing /debug/pprof/,
-// /debug/vars (expvar, including the process-wide metrics registry with
-// latency quantiles), /debug/flight (the process-wide flight recorder) and
-// /metrics (Prometheus text exposition). Close the returned server when done.
+// /debug/flight (the process-wide flight recorder) and /metrics (Prometheus
+// text exposition of the process-wide metrics registry). Close the returned
+// server when done.
 func ServeDebug(addr string) (*DebugServer, error) { return obs.ServeDebug(addr, nil, nil) }
 
 // Session maintains discovery state incrementally as a group grows (new

@@ -1,7 +1,6 @@
 package dime_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -38,19 +37,15 @@ func TestDifferentialChaosHTTP(t *testing.T) {
 		t.Run(fmt.Sprintf("chaos-seed-%d", seed), func(t *testing.T) {
 			// The replay runs under the test's own deadline: if retries ever
 			// grind, the context expires instead of the whole run hanging.
-			ctx := context.Background()
-			if dl, ok := t.Deadline(); ok {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithDeadline(ctx, dl)
-				defer cancel()
-			}
+			ctx, cancel := deadlineContext(t)
+			defer cancel()
 			// Snapshot before the target exists, assert after it is torn
 			// down: the chaos run must not strand a single goroutine.
 			snap := difftest.Goroutines()
 			defer snap.CheckReleased(t)
-			tgt, done := difftest.NewChaosTarget(
+			tgt, done := difftest.NewTarget(
 				serve.Options{Workers: 2},
-				difftest.ChaosOptions{Seed: seed, Rate: 0.15},
+				&difftest.ChaosOptions{Seed: seed, Rate: 0.15},
 			)
 			defer done()
 			workers := []int{1, 2, 4}
@@ -58,7 +53,7 @@ func TestDifferentialChaosHTTP(t *testing.T) {
 				k := i % len(workers)
 				rotated := append(append([]int(nil), workers[k:]...), workers[:k]...)
 				t.Run(c.Name, func(t *testing.T) {
-					difftest.CheckChaos(t, ctx, tgt, c, rotated...)
+					difftest.CheckServe(t, ctx, tgt, c, c.Name, rotated...)
 				})
 			}
 			if fired := tgt.ServerFaults.Fired(); fired == 0 {

@@ -1,6 +1,8 @@
 package dime_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"dime/internal/difftest"
@@ -12,23 +14,37 @@ import (
 // TestDifferentialDIMEVariants), every discovery result served over the HTTP
 // API must be byte-identical — partitions, pivot, scrollbar levels,
 // witnesses and stats — to an in-process DIME+ run on the same group. Each
-// case gets one corpus per IntraWorkers setting (1, 2 and 4): its first
-// discover computes DIME+ at that setting, and a second discover on the
-// unchanged corpus must reuse that result. All cases share one httptest
-// server, so the suite also exercises corpus create/ingest/delete lifecycles
-// back to back against a single long-lived service. Failures log the case
-// seed, so any divergence reproduces with
+// case gets one corpus per IntraWorkers setting (1, 2 and 4) with two keyed
+// submissions at that setting: the first computes DIME+, and the second, on
+// the unchanged corpus, must reuse that result. The client makes one attempt
+// per call, so a status the chaos suite's retries would absorb fails here.
+// All cases share one httptest server, so the suite also exercises corpus
+// create/ingest/delete lifecycles back to back against a single long-lived
+// service. Failures log the case seed, so any divergence reproduces with
 // `-run 'TestDifferentialServeHTTP/<case-name>'`.
 func TestDifferentialServeHTTP(t *testing.T) {
 	n := 210
 	if testing.Short() {
 		n = 45
 	}
-	tgt, done := difftest.NewServeTarget(serve.Options{Workers: 2})
+	ctx, cancel := deadlineContext(t)
+	defer cancel()
+	tgt, done := difftest.NewTarget(serve.Options{Workers: 2}, nil)
 	defer done()
 	for _, c := range difftest.Corpus(n, 0x5E12E) {
 		t.Run(c.Name, func(t *testing.T) {
-			difftest.CheckServe(t, tgt, c, 1, 2, 4)
+			for _, w := range []int{1, 2, 4} {
+				difftest.CheckServe(t, ctx, tgt, c, fmt.Sprintf("%s-w%d", c.Name, w), w, w)
+			}
 		})
 	}
+}
+
+// deadlineContext returns a context that expires at the test's deadline, so
+// a replay whose requests stall fails instead of hanging the whole run.
+func deadlineContext(t *testing.T) (context.Context, context.CancelFunc) {
+	if dl, ok := t.Deadline(); ok {
+		return context.WithDeadline(context.Background(), dl)
+	}
+	return context.WithCancel(context.Background())
 }

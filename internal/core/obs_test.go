@@ -339,11 +339,10 @@ func TestBenefitSortLimitNonPositive(t *testing.T) {
 }
 
 // TestConcurrentScrapeDuringDiscoverAll races the full debug surface against
-// the pipeline: /metrics, /debug/vars, and /debug/flight are scraped in a loop
-// while DiscoverAll mutates the registry and commits flight traces from its
-// worker pool. Run under -race this is the gate proving every read path
-// (Prometheus exposition, expvar snapshot, ring snapshot) is safe against
-// concurrent writers. Each response must also parse — a scrape mid-run may see
+// the pipeline: /metrics and /debug/flight are scraped in a loop while
+// DiscoverAll mutates the registry and commits flight traces from its worker
+// pool. Run under -race this is the gate proving every read path (Prometheus
+// exposition, ring snapshot) is safe against concurrent writers. Each response must also parse — a scrape mid-run may see
 // partial counts, but never a malformed document.
 func TestConcurrentScrapeDuringDiscoverAll(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -391,7 +390,7 @@ func TestConcurrentScrapeDuringDiscoverAll(t *testing.T) {
 			check(t, body)
 		}
 	}
-	wg.Add(3)
+	wg.Add(2)
 	go scrape("/metrics", func(t *testing.T, body []byte) {
 		// Every non-comment line is "name[{labels}] value"; a torn exposition
 		// (e.g. a sample without its # TYPE header) would fail here.
@@ -422,12 +421,6 @@ func TestConcurrentScrapeDuringDiscoverAll(t *testing.T) {
 			if !seenType[name] {
 				t.Errorf("sample %q has no preceding # TYPE", line)
 			}
-		}
-	})
-	go scrape("/debug/vars", func(t *testing.T, body []byte) {
-		var vars map[string]json.RawMessage
-		if err := json.Unmarshal(body, &vars); err != nil {
-			t.Errorf("expvar not JSON: %v", err)
 		}
 	})
 	go scrape("/debug/flight", func(t *testing.T, body []byte) {

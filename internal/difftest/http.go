@@ -1,79 +1,165 @@
 package difftest
 
-// HTTP-backed differential runner: a Case executed end-to-end against a
-// live dimed-style server (internal/serve) instead of in-process calls. For
-// every IntraWorkers setting the harness ingests the case group over the
-// wire into a corpus of its own, triggers one discovery job that computes
-// DIME+ at that setting and a second on the unchanged corpus that reuses
-// the first's result, fetches both back over HTTP and demands byte-identity
-// with an in-process DIME+ run on the same group — partitions, pivot,
-// levels, witnesses and Stats — extending the repo's determinism invariant
-// across the serialization and service boundary. The scrollbar and witness
-// endpoints are cross-checked against the same reference result.
+// Served differential runner: a Case replayed end to end against a live
+// dimed-style server (internal/serve behind httptest), always through the
+// typed internal/client. Every result fetched back over HTTP must be
+// byte-identical to an in-process sequential DIME+ run on the same group —
+// partitions, pivot, levels, witnesses and Stats — which extends the
+// repository's determinism contract across the serialization and service
+// boundary. A Target runs the replay in one of two modes:
+//
+//   - fault-free: no injection, and a client that makes exactly one attempt
+//     per call, so any unexpected status — a stray 429, 500 or 503 that a
+//     retrying client would ride through — fails the replay;
+//   - chaos: seeded internal/fault injection on both sides of the wire (a
+//     server middleware and a client transport) with the resilient client
+//     retrying. Results must still be byte-identical, no job may be
+//     duplicated (idempotency keys dedupe retried submissions), and no
+//     injected fault may surface to the caller.
+//
+// The chaos rules are scoped by replay safety. Latency and pre-handler 503
+// refusals are safe on every route: the handler never ran. Resets and
+// truncated bodies go only to GETs and to the keyed POST .../discover. An
+// unkeyed mutation (create, ingest, delete) that fails in transit is
+// undecidable for the client — did the server apply it? — so the client
+// does not retry it, and the rules must not manufacture such failures.
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
+	"errors"
 	"fmt"
-	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"time"
 
+	"dime/internal/client"
 	"dime/internal/core"
+	"dime/internal/fault"
 	"dime/internal/obs"
 	"dime/internal/serve"
 )
 
-// ServeTarget is a live server to run cases against. Svc registers
-// per-case profiles (configs carry node-mapper functions, which do not
-// serialize, so registration is programmatic); BaseURL/Client reach its
-// HTTP surface.
-type ServeTarget struct {
-	Svc     *serve.Service
-	BaseURL string
-	Client  *http.Client
-	// Registry is the server's metrics registry; DiffServe reads its
-	// dime.jobs.computed and dime.jobs.reused counters.
-	Registry *obs.Registry
+// ChaosOptions seeds the fault plan of a chaos target.
+type ChaosOptions struct {
+	// Seed drives every RNG in the target: the server-side injector, the
+	// client-side injector and the client's backoff jitter (offset so the
+	// three streams differ). Same seed + same request sequence = same
+	// faults.
+	Seed int64
+	// Rate is the per-rule fire probability.
+	Rate float64
 }
 
-// NewServeTarget starts an httptest server over a fresh serve.Service with
-// its own registry and flight recorder, and returns the target plus its
-// closer. Jobs wait synchronously via ?wait=true, so a small pool suffices.
-func NewServeTarget(opts serve.Options) (ServeTarget, func()) {
+// Target is a live server plus the API client pointed at it.
+type Target struct {
+	// Svc registers per-corpus profiles (configs carry node-mapper
+	// functions, which do not serialize, so registration is programmatic).
+	Svc *serve.Service
+	// Client is the API client; every DiffServe request goes through it.
+	Client *client.Client
+	// ServerFaults injects at the server (middleware): 503s, resets,
+	// truncations, latency. Nil on a fault-free target.
+	ServerFaults *fault.Injector
+	// ClientFaults injects at the client (transport): synthesized 503s
+	// before the request leaves, truncated reads of real responses. Nil on
+	// a fault-free target.
+	ClientFaults *fault.Injector
+	// Registry holds the client's attempt, retry and breaker counters.
+	Registry *obs.Registry
+	// ServerRegistry is the server's metrics registry; DiffServe reads its
+	// dime.jobs.computed and dime.jobs.reused counters.
+	ServerRegistry *obs.Registry
+}
+
+// NewTarget starts an httptest server over a fresh serve.Service with its
+// own registry and flight recorder, builds a client against it, and returns
+// the target plus a closer that shuts the server down. With a nil chaos the
+// target injects no faults and its client makes one attempt per call;
+// otherwise the server sits behind fault middleware and the client retries
+// through a fault transport, every RNG seeded from chaos.Seed.
+func NewTarget(opts serve.Options, chaos *ChaosOptions) (Target, func()) {
 	if opts.Registry == nil {
 		opts.Registry = obs.NewRegistry()
 	}
 	if opts.Flight == nil {
 		opts.Flight = obs.NewFlightRecorder(obs.FlightOptions{})
 	}
-	svc := serve.NewService(opts)
-	ts := httptest.NewServer(serve.Handler(svc))
-	return ServeTarget{Svc: svc, BaseURL: ts.URL, Client: ts.Client(), Registry: opts.Registry}, ts.Close
+	tgt := Target{Svc: serve.NewService(opts), Registry: obs.NewRegistry(), ServerRegistry: opts.Registry}
+	if chaos == nil {
+		ts := httptest.NewServer(serve.Handler(tgt.Svc))
+		tgt.Client = client.New(ts.URL, client.Options{
+			HTTPClient: ts.Client(), MaxAttempts: 1, Registry: tgt.Registry,
+		})
+		return tgt, ts.Close
+	}
+
+	rate := chaos.Rate
+	tgt.ServerFaults = fault.NewInjector(fault.Options{
+		Seed: chaos.Seed,
+		Rules: []fault.Rule{
+			{Name: "latency", P: rate, Kind: fault.KindLatency, Latency: 200 * time.Microsecond},
+			{Name: "refuse-503", P: rate, Kind: fault.KindStatus, Status: http.StatusServiceUnavailable, RetryAfter: "0"},
+			{Name: "get-reset", Method: http.MethodGet, P: rate, Kind: fault.KindReset},
+			{Name: "get-truncate", Method: http.MethodGet, P: rate, Kind: fault.KindTruncate},
+			{Name: "discover-truncate", Method: http.MethodPost, Path: "*/discover", P: rate, Kind: fault.KindTruncate},
+		},
+	})
+	ts := httptest.NewServer(tgt.ServerFaults.Middleware(serve.Handler(tgt.Svc)))
+
+	tgt.ClientFaults = fault.NewInjector(fault.Options{
+		Seed: chaos.Seed + 1,
+		Rules: []fault.Rule{
+			{Name: "local-503", P: rate / 2, Kind: fault.KindStatus, Status: http.StatusServiceUnavailable, RetryAfter: "0"},
+			{Name: "local-get-truncate", Method: http.MethodGet, P: rate / 2, Kind: fault.KindTruncate},
+		},
+	})
+	tgt.Client = client.New(ts.URL, client.Options{
+		HTTPClient:  &http.Client{Transport: tgt.ClientFaults.Transport(nil)},
+		MaxAttempts: 16,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  8 * time.Millisecond,
+		Rand:        rand.New(rand.NewSource(chaos.Seed + 2)),
+		Breaker:     client.BreakerOptions{Threshold: 16, Cooldown: 10 * time.Millisecond},
+		Registry:    tgt.Registry,
+	})
+	return tgt, ts.Close
 }
 
-// CheckServe runs the case through DiffServe and fails the test with the
-// case name and seed on the first divergence.
-func CheckServe(t TB, tgt ServeTarget, c Case, workers ...int) {
+// CheckServe runs the case through DiffServe on the named corpus under the
+// caller's context and fails the test with the case name and seed on the
+// first divergence.
+func CheckServe(t TB, ctx context.Context, tgt Target, c Case, corpus string, workers ...int) {
 	t.Helper()
-	if err := c.DiffServe(tgt, workers...); err != nil {
+	if err := c.DiffServe(ctx, tgt, corpus, workers...); err != nil {
 		t.Fatalf("case %s (seed %d): %v", c.Name, c.Seed, err)
 	}
 }
 
-// DiffServe executes the case against the target server. It registers the
-// case profile and, for every workers entry, runs a corpus of its own
-// (<case>-w<N>): create, ingest the group's entities over HTTP, then two
-// discover → wait → results round trips, each requiring the decoded result
-// to be exactly — stats and witnesses included — the in-process sequential
-// DIME+ result. The server's job counters must show that the first job
-// computed DIME+ at that worker count and the second, on the unchanged
-// corpus, reused the first's result. The scrollbar (deepest level) and
-// witness endpoints are checked against the same reference. Each corpus is
-// deleted before the next is created, so a long corpus sweep holds one
-// corpus at a time.
-func (c Case) DiffServe(tgt ServeTarget, workers ...int) error {
+// DiffServe replays the case through the target's client on a corpus of its
+// own, in order:
+//
+//  1. create the corpus under a profile of its own and ingest the group;
+//  2. per workers entry, submit a keyed discover, wait for the job and fetch
+//     its result, which must be exactly — stats and witnesses included —
+//     the in-process sequential DIME+ result;
+//  3. replay the first key, which must return the original job, and require
+//     the corpus to hold one job per submission, so no retried submission
+//     was duplicated;
+//  4. require from the server's job counters that the first submission
+//     computed DIME+ at workers[0] and the others, on the unchanged corpus,
+//     reused its result;
+//  5. check the deepest scrollbar level and every witness against the same
+//     reference;
+//  6. delete the corpus, so a long sweep holds one corpus at a time.
+//
+// Every request runs under ctx, so a test deadline or cancellation cuts the
+// replay short instead of letting retries grind on.
+func (c Case) DiffServe(ctx context.Context, tgt Target, corpus string, workers ...int) error {
+	if len(workers) == 0 {
+		return errors.New("DiffServe: no worker counts")
+	}
 	want, err := core.DIMEPlus(c.Group, core.Options{
 		Config: c.Config, Rules: c.Rules, IntraWorkers: 1, Probe: c.Probe,
 	})
@@ -81,76 +167,87 @@ func (c Case) DiffServe(tgt ServeTarget, workers ...int) error {
 		return fmt.Errorf("DIME+(in-process): %w", err)
 	}
 
-	profile := "case-" + c.Name
+	// One profile per corpus: a case may run on several corpora, and
+	// RegisterProfile refuses a name it already holds.
+	profile := "case-" + corpus
 	if err := tgt.Svc.RegisterProfile(profile, serve.Profile{Config: c.Config, Rules: c.Rules}); err != nil {
 		return err
 	}
-	for _, w := range workers {
-		if err := c.diffServeCorpus(tgt, profile, want, w); err != nil {
-			return fmt.Errorf("workers=%d: %w", w, err)
-		}
-	}
-	return nil
-}
-
-// diffServeCorpus runs one worker count's corpus through its lifecycle.
-func (c Case) diffServeCorpus(tgt ServeTarget, profile string, want *core.Result, workers int) error {
-	id := fmt.Sprintf("%s-w%d", c.Name, workers)
-	if err := tgt.postJSON("/v1/corpora", serve.CreateCorpusRequest{
-		ID: id, Profile: profile, Name: c.Group.Name,
-	}, http.StatusCreated, nil); err != nil {
+	if _, err := tgt.Client.CreateCorpus(ctx, serve.CreateCorpusRequest{
+		ID: corpus, Profile: profile, Name: c.Group.Name,
+	}); err != nil {
 		return fmt.Errorf("create corpus: %w", err)
 	}
 	ingest := serve.IngestRequest{}
 	for _, e := range c.Group.Entities {
 		ingest.Entities = append(ingest.Entities, serve.EntityJSON{ID: e.ID, Values: e.Values})
 	}
-	var ingested serve.IngestResponse
-	if err := tgt.postJSON("/v1/corpora/"+id+"/entities", ingest, http.StatusOK, &ingested); err != nil {
+	ingested, err := tgt.Client.Ingest(ctx, corpus, ingest)
+	if err != nil {
 		return fmt.Errorf("ingest: %w", err)
 	}
 	if ingested.Size != len(c.Group.Entities) {
 		return fmt.Errorf("ingest: size %d, want %d", ingested.Size, len(c.Group.Entities))
 	}
 
-	// The first job computes DIME+ at this worker count; the second, on the
-	// unchanged corpus, reuses the first's result.
-	for i, delta := range []struct{ computed, reused int64 }{{1, 0}, {0, 1}} {
-		computed0, reused0 := jobCounts(tgt.Registry)
-		if err := c.diffServeOnce(tgt, id, want, workers); err != nil {
-			return fmt.Errorf("discover %d: %w", i+1, err)
+	computed0, reused0 := jobCounts(tgt.ServerRegistry)
+	firstKey, firstJob := "", ""
+	for i, w := range workers {
+		// The submission index keeps keys distinct when a worker count
+		// repeats.
+		key := fmt.Sprintf("%s-%d-w%d", corpus, i, w)
+		job, err := tgt.Client.Discover(ctx, corpus, serve.DiscoverRequest{IntraWorkers: w}, key)
+		if err != nil {
+			return fmt.Errorf("workers=%d: discover: %w", w, err)
 		}
-		computed, reused := jobCounts(tgt.Registry)
-		if computed-computed0 != delta.computed || reused-reused0 != delta.reused {
-			return fmt.Errorf("discover %d: computed %d, reused %d jobs; want %d, %d",
-				i+1, computed-computed0, reused-reused0, delta.computed, delta.reused)
+		if i == 0 {
+			firstKey, firstJob = key, job.Job
+		}
+		status, err := tgt.Client.WaitJob(ctx, corpus, job.Job)
+		if err != nil {
+			return fmt.Errorf("workers=%d: wait: %w", w, err)
+		}
+		if status.State != serve.JobDone {
+			return fmt.Errorf("workers=%d: job %s finished %q (error %q)", w, job.Job, status.State, status.Error)
+		}
+		wire, err := tgt.Client.JobResult(ctx, corpus, job.Job)
+		if err != nil {
+			return fmt.Errorf("workers=%d: results: %w", w, err)
+		}
+		got, err := wire.Core(c.Group)
+		if err != nil {
+			return err
+		}
+		if err := exactDiff(want, got); err != nil {
+			return fmt.Errorf("workers=%d: in-process vs over-HTTP: %w", w, err)
 		}
 	}
-	err := checkScrollbarAndWitnesses(want,
-		func(level int) (serve.ScrollbarJSON, error) {
-			var sb serve.ScrollbarJSON
-			err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/scrollbar/%d", id, level), &sb)
-			return sb, err
-		},
-		func(pi int) (serve.WitnessReportJSON, error) {
-			var wr serve.WitnessReportJSON
-			err := tgt.getJSON(fmt.Sprintf("/v1/corpora/%s/witnesses/%d", id, pi), &wr)
-			return wr, err
-		})
+
+	replay, err := tgt.Client.Discover(ctx, corpus, serve.DiscoverRequest{IntraWorkers: workers[0]}, firstKey)
 	if err != nil {
+		return fmt.Errorf("keyed replay: %w", err)
+	}
+	if replay.Job != firstJob {
+		return fmt.Errorf("keyed replay enqueued a new job: %q, want %q", replay.Job, firstJob)
+	}
+	info, err := tgt.Client.Corpus(ctx, corpus)
+	if err != nil {
+		return fmt.Errorf("corpus info: %w", err)
+	}
+	if info.Jobs != len(workers) {
+		return fmt.Errorf("corpus ran %d jobs for %d submissions — retries duplicated work", info.Jobs, len(workers))
+	}
+	computed, reused := jobCounts(tgt.ServerRegistry)
+	if computed-computed0 != 1 || reused-reused0 != int64(len(workers)-1) {
+		return fmt.Errorf("server computed %d and reused %d jobs; want 1 computed at workers=%d, %d reused",
+			computed-computed0, reused-reused0, workers[0], len(workers)-1)
+	}
+
+	if err := checkScrollbarAndWitnesses(ctx, tgt.Client, corpus, want); err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodDelete, tgt.BaseURL+"/v1/corpora/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := tgt.Client.Do(req)
-	if err != nil {
+	if err := tgt.Client.DeleteCorpus(ctx, corpus); err != nil {
 		return fmt.Errorf("delete corpus: %w", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("delete corpus: status %d", resp.StatusCode)
 	}
 	return nil
 }
@@ -160,47 +257,15 @@ func jobCounts(reg *obs.Registry) (computed, reused int64) {
 	return reg.Counter("dime.jobs.computed").Value(), reg.Counter("dime.jobs.reused").Value()
 }
 
-// diffServeOnce runs one discover→wait→results round trip on the corpus
-// and compares.
-func (c Case) diffServeOnce(tgt ServeTarget, id string, want *core.Result, workers int) error {
-	var job serve.JobJSON
-	if err := tgt.postJSON("/v1/corpora/"+id+"/discover",
-		serve.DiscoverRequest{IntraWorkers: workers}, http.StatusAccepted, &job); err != nil {
-		return fmt.Errorf("discover: %w", err)
-	}
-	var status serve.JobJSON
-	if err := tgt.getJSON("/v1/corpora/"+id+"/status/"+job.Job+"?wait=true", &status); err != nil {
-		return fmt.Errorf("status: %w", err)
-	}
-	if status.State != serve.JobDone {
-		return fmt.Errorf("job %s finished %q (error %q)", job.Job, status.State, status.Error)
-	}
-	var wire serve.ResultJSON
-	if err := tgt.getJSON("/v1/corpora/"+id+"/results/"+job.Job, &wire); err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	got, err := wire.Core(c.Group)
-	if err != nil {
-		return err
-	}
-	if err := exactDiff(want, got); err != nil {
-		return fmt.Errorf("in-process vs over-HTTP: %w", err)
-	}
-	return nil
-}
-
 // checkScrollbarAndWitnesses cross-checks a corpus's query endpoints against
 // the reference result: the deepest scrollbar level, and the witness of
-// every marked partition. The two replays fetch them differently (a raw GET
-// or the resilient client), so the fetches come in as functions.
-func checkScrollbarAndWitnesses(want *core.Result,
-	scrollbar func(level int) (serve.ScrollbarJSON, error),
-	witness func(partition int) (serve.WitnessReportJSON, error)) error {
+// every marked partition.
+func checkScrollbarAndWitnesses(ctx context.Context, cl *client.Client, corpus string, want *core.Result) error {
 	deepest := len(want.Levels) - 1
 	if deepest < 0 {
 		return nil
 	}
-	sb, err := scrollbar(deepest)
+	sb, err := cl.Scrollbar(ctx, corpus, deepest)
 	if err != nil {
 		return fmt.Errorf("scrollbar: %w", err)
 	}
@@ -209,7 +274,7 @@ func checkScrollbarAndWitnesses(want *core.Result,
 		return fmt.Errorf("scrollbar level %d diverged:\n  got  %+v\n  want %+v", deepest, sb, lv)
 	}
 	for _, pi := range markedOf(want) {
-		wr, err := witness(pi)
+		wr, err := cl.Witness(ctx, corpus, pi)
 		if err != nil {
 			return fmt.Errorf("witnesses/%d: %w", pi, err)
 		}
@@ -218,45 +283,6 @@ func checkScrollbarAndWitnesses(want *core.Result,
 			wr.Witness.Rule != w.Rule || wr.Witness.EntityID != w.EntityID || wr.Witness.PivotID != w.PivotID {
 			return fmt.Errorf("witness for partition %d diverged: got marked=%t %+v, want %+v", pi, wr.Marked, wr.Witness, w)
 		}
-	}
-	return nil
-}
-
-// postJSON posts body and decodes the response into out (when non-nil),
-// failing on an unexpected status.
-func (tgt ServeTarget) postJSON(path string, body any, wantStatus int, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := tgt.Client.Post(tgt.BaseURL+path, "application/json", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	return decodeResponse(resp, wantStatus, out)
-}
-
-// getJSON fetches path expecting 200.
-func (tgt ServeTarget) getJSON(path string, out any) error {
-	resp, err := tgt.Client.Get(tgt.BaseURL + path)
-	if err != nil {
-		return err
-	}
-	return decodeResponse(resp, http.StatusOK, out)
-}
-
-// decodeResponse enforces the status and decodes the body.
-func decodeResponse(resp *http.Response, wantStatus int, out any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("status %d (want %d): %s", resp.StatusCode, wantStatus, bytes.TrimSpace(raw))
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("decoding response: %w", err)
 	}
 	return nil
 }

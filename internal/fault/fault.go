@@ -3,7 +3,7 @@
 // http.RoundTripper wrapper (Injector.Transport) that fire composable rules —
 // injected latency, synthesized 500/503 responses, connection resets and
 // truncated bodies — with per-rule probabilities drawn from one injected
-// *rand.Rand and optional per-rule fire budgets.
+// *rand.Rand.
 //
 // # Determinism contract
 //
@@ -11,21 +11,20 @@
 // NewInjector; the injector itself never reads the wall clock, the
 // environment, or the process-global RNG. For a fixed seed, rule list and
 // sequential request stream, the same faults fire at the same points — the
-// property the chaos differential harness (internal/difftest, chaos variant)
-// leans on to demand byte-identical discovery results under chaos at a known
-// seed. Under concurrent requests the interleaving of draws is scheduler
+// property the chaos mode of internal/difftest's served replay leans on to
+// demand byte-identical discovery results under chaos at a known seed.
+// Under concurrent requests the interleaving of draws is scheduler
 // -dependent, but every draw still comes from the seeded stream, so
-// aggregate behaviour (fire rates, budgets) stays reproducible in
-// distribution.
+// aggregate behaviour (fire rates) stays reproducible in distribution.
 //
 // # Rule evaluation
 //
 // Rules are evaluated in declaration order on each request. A matching rule
-// with remaining budget draws one uniform variate; all firing latency rules
-// add up, and the first firing non-latency rule becomes the request's
-// primary fault. Once a primary fires, later non-latency rules are skipped
-// without drawing — at most one response-altering fault per request, and a
-// shadowed rule neither consumes budget nor counts as fired.
+// draws one uniform variate; all firing latency rules add up, and the first
+// firing non-latency rule becomes the request's primary fault. Once a
+// primary fires, later non-latency rules are skipped without drawing — at
+// most one response-altering fault per request, and a shadowed rule does not
+// count as fired.
 package fault
 
 import (
@@ -33,8 +32,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"dime/internal/obs"
 )
 
 // Kind classifies what a firing rule does to the request.
@@ -60,7 +57,7 @@ const (
 )
 
 // Rule is one composable fault: a (method, path) matcher, a fire
-// probability, the fault kind with its parameters, and an optional budget.
+// probability, and the fault kind with its parameters.
 type Rule struct {
 	// Name labels the rule in counters and snapshots; it must be unique
 	// within an injector and non-empty.
@@ -81,9 +78,6 @@ type Rule struct {
 	// RetryAfter, when non-empty, is sent as the Retry-After header on
 	// KindStatus responses — letting a chaos run steer client pacing.
 	RetryAfter string
-	// Budget caps how many times the rule fires; 0 means unlimited. A
-	// budgeted rule guarantees chaos eventually quiesces on a path.
-	Budget int
 }
 
 // matches reports whether the rule applies to (method, path).
@@ -125,7 +119,7 @@ type RuleCount struct {
 }
 
 // Injector evaluates a fixed rule list with a seeded RNG and counts fires.
-// It is safe for concurrent use; the RNG and budgets sit behind one mutex so
+// It is safe for concurrent use; the RNG and counts sit behind one mutex so
 // draws are serialized (determinism for sequential request streams).
 type Injector struct {
 	mu    sync.Mutex
@@ -133,8 +127,6 @@ type Injector struct {
 	rules []Rule
 	fired []int64
 	total int64
-
-	reg *obs.Registry
 }
 
 // Options configures an Injector.
@@ -143,9 +135,6 @@ type Options struct {
 	Seed int64
 	// Rules is the ordered rule list.
 	Rules []Rule
-	// Registry, when non-nil, receives one "dime.fault.<rule-name>" counter
-	// per rule plus "dime.fault.total", incremented as rules fire.
-	Registry *obs.Registry
 }
 
 // NewInjector builds an injector over its own rand.Rand seeded with
@@ -155,7 +144,6 @@ func NewInjector(opts Options) *Injector {
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		rules: append([]Rule(nil), opts.Rules...),
 		fired: make([]int64, len(opts.Rules)),
-		reg:   opts.Registry,
 	}
 }
 
@@ -164,12 +152,11 @@ type firing struct {
 	rule Rule
 }
 
-// decide draws for matching in-budget rules in declaration order and
-// returns the total injected latency plus the primary (first-firing
-// non-latency) fault, if any. Once a primary fires, later non-latency rules
-// are not drawn at all — a shadowed rule takes no effect, so it must not
-// consume budget or count as fired (latency rules keep drawing; their
-// delays compose with any primary).
+// decide draws for matching rules in declaration order and returns the
+// total injected latency plus the primary (first-firing non-latency) fault,
+// if any. Once a primary fires, later non-latency rules are not drawn at
+// all — a shadowed rule takes no effect, so it must not count as fired
+// (latency rules keep drawing; their delays compose with any primary).
 func (inj *Injector) decide(method, path string) (latency time.Duration, primary *firing) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -180,18 +167,11 @@ func (inj *Injector) decide(method, path string) (latency time.Duration, primary
 		if !r.matches(method, path) {
 			continue
 		}
-		if r.Budget > 0 && inj.fired[i] >= int64(r.Budget) {
-			continue
-		}
 		if inj.rng.Float64() >= r.P {
 			continue
 		}
 		inj.fired[i]++
 		inj.total++
-		if inj.reg != nil {
-			inj.reg.Counter("dime.fault." + r.Name).Add(1)
-			inj.reg.Counter("dime.fault.total").Add(1)
-		}
 		if r.Kind == KindLatency {
 			latency += r.Latency
 			continue

@@ -74,26 +74,6 @@ func TestDecideDeterministic(t *testing.T) {
 	}
 }
 
-// TestBudgetCapsFires pins per-rule budgets: a budgeted always-fire rule
-// stops firing once exhausted, and the budget consumption is counted.
-func TestBudgetCapsFires(t *testing.T) {
-	inj := NewInjector(Options{Seed: 1, Rules: []Rule{
-		{Name: "b", P: 1, Kind: KindStatus, Status: 500, Budget: 3},
-	}})
-	fires := 0
-	for i := 0; i < 10; i++ {
-		if _, p := inj.decide("GET", "/x"); p != nil {
-			fires++
-		}
-	}
-	if fires != 3 {
-		t.Fatalf("budgeted rule fired %d times, want 3", fires)
-	}
-	if got := inj.Snapshot()[0].Fired; got != 3 {
-		t.Fatalf("snapshot fired = %d, want 3", got)
-	}
-}
-
 // okHandler answers 200 with a fixed JSON body.
 func okHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 func DebugRoutes() []string {
 	return []string{
 		"/debug/pprof/",
-		"/debug/vars",
 		"/debug/flight",
 		"/metrics",
 	}
@@ -24,16 +22,12 @@ func DebugRoutes() []string {
 // RegisterDebug mounts the debug surface onto an existing mux:
 //
 //	/debug/pprof/   CPU, heap, goroutine, ... profiles (net/http/pprof)
-//	/debug/vars     expvar JSON (includes the registry snapshot with
-//	                per-histogram p50/p90/p99 once published)
 //	/debug/flight   flight-recorder dump: the most recent retained traces
 //	/metrics        Prometheus text exposition of the registry
 //
 // It is the single construction path for these routes — DebugMux and any
-// API server wanting the same surface call it — and it publishes the
-// registry to expvar under "dime" so /debug/vars carries the same numbers
-// as /metrics. A nil registry uses Default(); a nil recorder uses
-// DefaultFlight().
+// API server wanting the same surface call it. A nil registry uses
+// Default(); a nil recorder uses DefaultFlight().
 func RegisterDebug(mux *http.ServeMux, r *Registry, fr *FlightRecorder) {
 	if r == nil {
 		r = Default()
@@ -41,13 +35,11 @@ func RegisterDebug(mux *http.ServeMux, r *Registry, fr *FlightRecorder) {
 	if fr == nil {
 		fr = DefaultFlight()
 	}
-	r.PublishExpvar("dime")
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		if err := fr.WriteJSON(w); err != nil {
@@ -78,7 +70,6 @@ func DebugMux(r *Registry, fr *FlightRecorder) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "dime debug server")
 		fmt.Fprintln(w, "  /debug/pprof/   profiles")
-		fmt.Fprintln(w, "  /debug/vars     expvar JSON (registry snapshot with quantiles)")
 		fmt.Fprintln(w, "  /debug/flight   flight-recorder dump (recent retained traces)")
 		fmt.Fprintln(w, "  /metrics        Prometheus text exposition")
 	})

@@ -18,8 +18,8 @@ import (
 // or above Threshold are committed to the ring with two atomic stores,
 // faster roots are counted and dropped. The ring overwrites oldest-first
 // per shard, so a dump always shows the most recent slow operations — the
-// "what did the last N slow runs actually do" question the expvar counters
-// cannot answer.
+// "what did the last N slow runs actually do" question the registry's
+// counters cannot answer.
 //
 // Concurrency: StartRun is safe for concurrent use (batch runs share one
 // recorder); each span tree is built by the goroutine that started the run,

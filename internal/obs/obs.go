@@ -1,9 +1,9 @@
 // Package obs is the runtime observability layer: phase tracing, a
-// process-wide metrics registry, structured logging helpers, and a debug
-// HTTP server. The paper's evaluation (Section VI) is entirely about where
-// time goes — filter vs. verify cost, candidates pruned by signatures,
-// benefit-order savings — and this package makes those quantities visible on
-// live runs instead of only as end-of-run counters.
+// process-wide metrics registry, and a debug HTTP server. The paper's
+// evaluation (Section VI) is entirely about where time goes — filter vs.
+// verify cost, candidates pruned by signatures, benefit-order savings — and
+// this package makes those quantities visible on live runs instead of only
+// as end-of-run counters.
 //
 // The core abstraction is the Probe: discovery runs open a span per pipeline
 // phase (record compilation, signature build, candidate generation, positive
@@ -12,7 +12,7 @@
 // no-op span, so an uninstrumented run pays a nil check per phase boundary
 // and nothing per pair.
 //
-// Three probe implementations ship here:
+// Two probe implementations ship here:
 //
 //   - FlightRecorder records each run as a flattened span tree with
 //     monotonic timings and counters, keeping the most recent runs in a
@@ -21,9 +21,8 @@
 //     heap-allocation deltas to every span;
 //   - Observer feeds span durations and counters into a Registry of
 //     counters, gauges and fixed-bucket latency histograms with
-//     interpolated p50/p90/p99 quantiles, exported via expvar and in
-//     Prometheus text format at the /metrics endpoint of ServeDebug;
-//   - Logged emits one slog record per completed span.
+//     interpolated p50/p90/p99 quantiles, exported in Prometheus text
+//     format at the /metrics endpoint of ServeDebug.
 //
 // Multi fans a run out to several probes at once. All wall-clock and
 // runtime-counter reads in the module go through clock.go's Now/Since and

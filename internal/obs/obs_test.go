@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"bytes"
-	"log/slog"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestStartNilProbeIsNop(t *testing.T) {
 	sp := Start(nil, "run", A("group", "g"))
@@ -51,25 +46,5 @@ func TestMultiCollapses(t *testing.T) {
 	fr := NewFlightRecorder(FlightOptions{})
 	if got := Multi(nil, fr); got != Probe(fr) {
 		t.Fatalf("Multi with one live probe should return it, got %v", got)
-	}
-}
-
-func TestLoggedEmitsSpans(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, slog.LevelDebug)
-	p := Logged(l, slog.LevelInfo)
-	run := Start(p, "run", A("group", "g1"))
-	sp := run.StartSpan("candidate-gen")
-	sp.Count("candidates", 42)
-	sp.End()
-	run.End()
-	out := buf.String()
-	for _, want := range []string{"msg=run", "group=g1", "msg=candidate-gen", "candidates=42", "dur="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
-	}
-	if Logged(nil, slog.LevelInfo) != nil {
-		t.Fatal("Logged(nil) must be nil")
 	}
 }

@@ -1,24 +1,21 @@
 package obs
 
 import (
-	"expvar"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
 // Registry is a process-wide metrics store: named counters, gauges and
 // fixed-bucket histograms, all updated with atomics so hot paths never take
-// a lock. It snapshots to expvar (PublishExpvar) and dumps in Prometheus
-// text format (WritePrometheus) for the /metrics endpoint of ServeDebug.
+// a lock. It dumps in Prometheus text format (WritePrometheus) for the
+// /metrics endpoint of ServeDebug.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	published bool
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -256,53 +253,4 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Snapshot returns a flat name → value view: counters as int64, gauges as
-// float64, histograms as {count, sum, p50, p90, p99, buckets} maps. This is
-// what expvar publishes. Marshaling the snapshot is deterministic for a
-// fixed registry state: encoding/json sorts map keys, quantiles are
-// interpolated (never NaN — empty histograms report 0), and repeated calls
-// over an idle registry yield byte-identical JSON.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		bounds, counts := h.Buckets()
-		buckets := make(map[string]int64, len(counts))
-		for i, n := range counts {
-			le := "+Inf"
-			if i < len(bounds) {
-				le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
-			}
-			buckets[le] = n
-		}
-		out[name] = map[string]any{
-			"count": h.Count(), "sum": h.Sum(),
-			"p50": h.Quantile(0.50), "p90": h.Quantile(0.90), "p99": h.Quantile(0.99),
-			"buckets": buckets,
-		}
-	}
-	return out
-}
-
-// PublishExpvar publishes the registry under the given expvar name (once;
-// later calls with any name are no-ops for this registry). The snapshot is
-// computed on demand by the expvar handler.
-func (r *Registry) PublishExpvar(name string) {
-	r.mu.Lock()
-	already := r.published
-	r.published = true
-	r.mu.Unlock()
-	if already || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

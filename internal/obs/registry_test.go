@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -57,25 +55,6 @@ func TestRegistryDefaultBucketsAndUnsortedBounds(t *testing.T) {
 	bounds2, _ := h2.Buckets()
 	if bounds2[0] > bounds2[1] {
 		t.Fatalf("bounds not sorted: %v", bounds2)
-	}
-}
-
-func TestRegistrySnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(7)
-	r.Gauge("g").Set(1.5)
-	r.Histogram("h", []float64{1}).Observe(0.5)
-	snap := r.Snapshot()
-	if snap["c"] != int64(7) {
-		t.Fatalf("snapshot c = %v", snap["c"])
-	}
-	g, ok := snap["g"].(float64)
-	if !ok || math.Abs(g-1.5) > 1e-12 {
-		t.Fatalf("snapshot g = %v", snap["g"])
-	}
-	hm, ok := snap["h"].(map[string]any)
-	if !ok || hm["count"] != int64(1) {
-		t.Fatalf("snapshot h = %v", snap["h"])
 	}
 }
 
@@ -158,12 +137,6 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 	if s.Count != 0 || s.Sum != 0 || s.P50 != 0 || s.P90 != 0 || s.P99 != 0 {
 		t.Errorf("empty summary = %+v", s)
 	}
-	// The empty quantiles must stay JSON-encodable (no NaN) through Snapshot.
-	r := NewRegistry()
-	r.Histogram("empty", nil)
-	if _, err := json.Marshal(r.Snapshot()); err != nil {
-		t.Errorf("empty-histogram snapshot not marshalable: %v", err)
-	}
 }
 
 func TestHistogramQuantileAllOverflow(t *testing.T) {
@@ -200,45 +173,6 @@ func TestHistogramSummariesDeterministicOrder(t *testing.T) {
 		if s.Count != 1 || s.P50 <= 0 {
 			t.Errorf("summary %q = %+v", s.Name, s.LatencySummary)
 		}
-	}
-}
-
-func TestSnapshotJSONByteIdentical(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.count").Add(3)
-	r.Counter("a.count").Add(1)
-	r.Gauge("g").Set(2.5)
-	r.Histogram("h", []float64{1, 10}).Observe(0.5)
-	r.Histogram("h", nil).Observe(3)
-	first, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		again, err := json.Marshal(r.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, again) {
-			t.Fatalf("snapshot marshal %d diverged:\n%s\nvs\n%s", i, first, again)
-		}
-	}
-	// The histogram entry carries the quantiles the expvar consumers read.
-	var snap map[string]json.RawMessage
-	if err := json.Unmarshal(first, &snap); err != nil {
-		t.Fatal(err)
-	}
-	var hist struct {
-		Count int64   `json:"count"`
-		P50   float64 `json:"p50"`
-		P90   float64 `json:"p90"`
-		P99   float64 `json:"p99"`
-	}
-	if err := json.Unmarshal(snap["h"], &hist); err != nil {
-		t.Fatal(err)
-	}
-	if hist.Count != 2 || hist.P50 <= 0 {
-		t.Errorf("snapshot histogram = %+v", hist)
 	}
 }
 

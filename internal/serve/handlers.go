@@ -11,10 +11,9 @@ import (
 )
 
 // Handler returns the full HTTP surface of a Service: the v1 JSON API plus
-// the debug routes (/metrics, /debug/vars, /debug/flight, /debug/pprof/)
-// mounted through obs.RegisterDebug — the same construction path
-// obs.ServeDebug uses, so the two surfaces cannot drift (a parity test walks
-// obs.DebugRoutes over both).
+// the debug routes (/metrics, /debug/flight, /debug/pprof/) mounted through
+// obs.RegisterDebug — the same construction path obs.ServeDebug uses, so the
+// two surfaces cannot drift (a parity test walks obs.DebugRoutes over both).
 //
 //	GET    /healthz                              liveness (503 while draining)
 //	GET    /v1/corpora                           list corpora + profiles
@@ -58,7 +57,7 @@ func Handler(s *Service) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "dimed — DIME discovery service")
 		fmt.Fprintln(w, "  /healthz, /v1/corpora[/{id}[/entities|/partitions|/discover|/status/{job}|/results/{job}|/scrollbar/{level}|/witnesses/{partition}]]")
-		fmt.Fprintln(w, "  /metrics, /debug/vars, /debug/flight, /debug/pprof/")
+		fmt.Fprintln(w, "  /metrics, /debug/flight, /debug/pprof/")
 	})
 	return mux
 }

@@ -3,8 +3,8 @@
 // create corpora, stream entities in, trigger discovery as asynchronous jobs
 // on a concurrency-limited worker pool, and query the scrollbar, witnesses
 // and live partitions — plus the repository's full observability surface
-// (/metrics, /debug/vars, /debug/flight, /debug/pprof/) mounted through the
-// same construction path as obs.ServeDebug, so the two debug surfaces cannot
+// (/metrics, /debug/flight, /debug/pprof/) mounted through the same
+// construction path as obs.ServeDebug, so the two debug surfaces cannot
 // drift.
 //
 // The package splits along the handler/service seam: Service owns corpus
@@ -19,10 +19,10 @@
 // DIME+ is byte-identical at every IntraWorkers setting and depends only on
 // (group, config, rules), a result fetched over the API is exactly —
 // partitions, pivot, levels, witnesses and Stats — what an in-process
-// Discover/DiscoverAll call on the same entities produces. The HTTP-backed
-// differential runner in internal/difftest and the conformance suite at the
-// repository root enforce this byte-identity over the seeded 210-group
-// corpus at several worker counts.
+// Discover/DiscoverAll call on the same entities produces. The served
+// replay in internal/difftest (DiffServe) enforces this byte-identity over
+// the seeded 210-group corpus at several worker counts, in the root's
+// fault-free and chaos suites.
 //
 // Ingestion is incremental: each accepted entity folds into the corpus
 // Session, so GET partitions stays cheap while entities stream in. A

@@ -33,13 +33,6 @@ func NewServer(opts Options) *Server {
 // Service returns the underlying service (profile registration, tests).
 func (s *Server) Service() *Service { return s.svc }
 
-// WrapHandler installs mw around the server's full HTTP surface. It must be
-// called before Start. cmd/dimed uses it to mount the opt-in chaos
-// middleware (internal/fault) in front of the API.
-func (s *Server) WrapHandler(mw func(http.Handler) http.Handler) {
-	s.srv.Handler = mw(s.srv.Handler)
-}
-
 // Start binds addr (e.g. ":8080", "127.0.0.1:0") and serves in a background
 // goroutine.
 func (s *Server) Start(addr string) error {

@@ -2,7 +2,7 @@ package serve
 
 // Concurrent-clients stress test: N clients each drive their own corpus
 // through interleaved ingest batches and discovery jobs while scraping the
-// observability surface (/metrics, /debug/vars, /debug/flight) on a shared
+// observability surface (/metrics, /debug/flight) on a shared
 // service — the -race run of this test is the data-race gate for the serving
 // layer. At the end every corpus must be coherent: the final result served
 // over HTTP must equal, field for field, an in-process DIME+ run on the same
@@ -38,7 +38,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 
 	// The shared observability surface survived the onslaught and still
 	// renders.
-	for _, route := range []string{"/metrics", "/debug/vars", "/debug/flight"} {
+	for _, route := range []string{"/metrics", "/debug/flight"} {
 		if code, body, _ := doReq(t, http.MethodGet, ts.URL+route, nil); code != http.StatusOK {
 			t.Errorf("final GET %s: status %d: %s", route, code, body)
 		}
@@ -84,7 +84,7 @@ func stressClient(t *testing.T, base string, i int) error {
 		if code, resp, _ := doReq(t, http.MethodGet, base+"/v1/corpora/"+id+"/partitions", nil); code != http.StatusOK {
 			return fmt.Errorf("client %d: partitions: status %d: %s", i, code, resp)
 		}
-		for _, route := range []string{"/metrics", "/debug/vars", "/debug/flight"} {
+		for _, route := range []string{"/metrics", "/debug/flight"} {
 			if code, resp, _ := doReq(t, http.MethodGet, base+route, nil); code != http.StatusOK {
 				return fmt.Errorf("client %d: scrape %s: status %d: %s", i, route, code, resp)
 			}

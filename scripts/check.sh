@@ -10,19 +10,15 @@
 # (dime_difftest_test.go), which runs DIME+ with IntraWorkers of 2 and 4 over
 # a couple hundred generated groups — that is the gate proving the parallel
 # path both data-race-free and byte-identical to the sequential one. It also
-# includes the serving-layer conformance suite (dime_serve_difftest_test.go),
-# which replays the same corpus through the internal/serve HTTP API on one
-# corpus per (case, IntraWorkers) pair — the first discover computes DIME+ at
-# that setting, a second on the unchanged corpus reuses its result — and
-# demands byte-identity with the in-process results, plus the endpoint
-# golden, backpressure, graceful-shutdown and concurrent-clients stress
-# tests under internal/serve and cmd/dimed (`make serve-test` runs just
-# those), and the chaos differential suite (dime_chaos_difftest_test.go),
-# which replays that corpus through deterministic fault injection with the
-# resilient client — one corpus per case, computed once at a worker count
-# rotated by case index and reused by its other submissions — and demands
-# byte-identical results, deduplicated jobs and zero surfaced failures
-# (`make chaos-test` runs just that slice).
+# includes the one served replay (difftest.DiffServe), which drives the same
+# corpus through the internal/serve HTTP API with internal/client and demands
+# byte-identity with the in-process results, in two suites: fault-free
+# (dime_serve_difftest_test.go: one corpus per case and IntraWorkers setting,
+# a client that makes one attempt per call) and under deterministic fault
+# injection with the retrying client (dime_chaos_difftest_test.go: one corpus
+# per case, deduplicated jobs, zero surfaced failures). `make serve-test`
+# runs both, plus the endpoint golden, backpressure, graceful-shutdown and
+# concurrent-clients stress tests and the fault and client unit tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
