@@ -10,11 +10,11 @@ test:
 
 # The serving layer's gates in isolation, all race-enabled: the one served
 # replay (difftest.DiffServe) in both of its suites at the repo root — the
-# fault-free conformance suite (one corpus per case and worker count, a
-# client with one attempt per call) and the chaos suite (three fault seeds,
-# injectors on both sides of the wire, the retrying client). Each demands
-# byte-identity with in-process DIME+, one job per submission, and one
-# computed job per corpus whose result the others reuse. Then the endpoint
+# fault-free conformance suite (one corpus per case, a client with one
+# attempt per call) and the chaos suite (three fault seeds, injectors on both
+# sides of the wire, the retrying client). Each demands byte-identity with
+# in-process DIME+, one job per submission, and two submissions per corpus:
+# the first computes and the second reuses its result. Then the endpoint
 # golden, backpressure, shutdown, reuse and stress tests, the fault-injector
 # and client unit tests, and dimed's entry point. `make check` covers these
 # too via its full -race run.

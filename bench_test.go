@@ -203,11 +203,11 @@ func BenchmarkDIMEPlus(b *testing.B) {
 }
 
 // TestDIMEPlusAllocs is the measured allocation gate for DIME+: it counts
-// heap allocations per sequential run (IntraWorkers 1) with
-// testing.AllocsPerRun on the groups of BenchmarkDIMEPlus and
-// BenchmarkDIMEPlusParallel, and fails when either count grows by more than
-// 1% over the largest count measured with go1.24 on linux/amd64, in fresh
-// processes, under -race and under GOMAXPROCS=1:
+// heap allocations per run with testing.AllocsPerRun on the group of
+// BenchmarkDIMEPlus and on a DBGen group past BenefitSortLimit, and fails
+// when either count grows by more than 1% over the largest count measured
+// with go1.24 on linux/amd64, in fresh processes, under -race and under
+// GOMAXPROCS=1:
 //
 //   - Scholar-600 (scholarBenchGroup, seed 23): 14,809–14,811;
 //   - DBGen-3000 (seed 29): 87,335–87,337.
@@ -218,7 +218,6 @@ func BenchmarkDIMEPlus(b *testing.B) {
 // TestDIMEPlusAllocs logs the counts) and update them here.
 func TestDIMEPlusAllocs(t *testing.T) {
 	gopts, scholarOpts := scholarBenchGroup()
-	scholarOpts.IntraWorkers = 1
 	dbgenCfg := presets.DBGenConfig()
 	for _, tc := range []struct {
 		name     string
@@ -228,7 +227,7 @@ func TestDIMEPlusAllocs(t *testing.T) {
 	}{
 		{"scholar-600", datagen.Scholar(*gopts), *scholarOpts, 14811},
 		{"dbgen-3000", datagen.DBGen(datagen.DBGenOptions{NumEntities: 3000, ErrorRate: 0.10, Seed: 29}),
-			core.Options{Config: dbgenCfg, Rules: presets.DBGenRules(dbgenCfg), IntraWorkers: 1}, 87337},
+			core.Options{Config: dbgenCfg, Rules: presets.DBGenRules(dbgenCfg)}, 87337},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(3, func() {
@@ -239,38 +238,6 @@ func TestDIMEPlusAllocs(t *testing.T) {
 			t.Logf("%.0f allocations per run (measured %.0f)", allocs, tc.measured)
 			if limit := tc.measured * 1.01; allocs > limit {
 				t.Errorf("DIME+ allocates %.0f times per run, over the limit %.0f (measured %.0f + 1%%)", allocs, limit, tc.measured)
-			}
-		})
-	}
-}
-
-// BenchmarkDIMEPlusParallel measures the intra-group worker path on a DBGen
-// group, whose eds(Name) positive rule is expensive enough per pair for the
-// speculative-evaluation chunks to matter. The sequential variant pins
-// IntraWorkers=1 (the historical path, and the baseline any refactor must
-// not regress); the parallel variant takes the GOMAXPROCS default. The
-// parallel speedup is hardware-dependent — on a single-core machine the two
-// variants collapse to the same work — and results are byte-identical either
-// way, which the differential harness enforces.
-func BenchmarkDIMEPlusParallel(b *testing.B) {
-	cfg := presets.DBGenConfig()
-	rs := presets.DBGenRules(cfg)
-	g := datagen.DBGen(datagen.DBGenOptions{NumEntities: 3000, ErrorRate: 0.10, Seed: 29})
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel", 0},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			opts := core.Options{Config: cfg, Rules: rs, IntraWorkers: v.workers}
-			for i := 0; i < b.N; i++ {
-				res, err := core.DIMEPlus(g, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Stats.PositiveVerified), "verifications/op")
 			}
 		})
 	}

@@ -341,7 +341,8 @@ func overheadCheck(doc *Document, base, probe string, maxPct float64, w io.Write
 // messages for gated benchmarks whose allocs/op grew more than maxRegress
 // percent. gate matches the benchmark exactly or as a "gate/" sub-benchmark
 // prefix, so -gate BenchmarkDIMEPlus covers BenchmarkDIMEPlus/nil-probe and
-// /flight-recorder without catching BenchmarkDIMEPlusParallel.
+// /flight-recorder without catching a benchmark whose name merely starts
+// with it.
 func diff(doc, prev *Document, gate string, maxRegress float64, w io.Writer) []string {
 	var regressions []string
 	for _, name := range doc.Names() {

@@ -350,33 +350,6 @@ func TestFlightThresholdDropsFastRuns(t *testing.T) {
 	}
 }
 
-// TestIntraWorkersFlagIdenticalOutput pins the -intra-workers contract at
-// the CLI level: every worker count must print the same levels AND the same
-// stats line, because the parallel path is byte-identical to the sequential
-// one — not merely set-equivalent.
-func TestIntraWorkersFlagIdenticalOutput(t *testing.T) {
-	in := singleGroupFile(t, t.TempDir())
-	base, stderr, code := runCLI(t, "-in", in, "-preset", "scholar", "-stats")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	// Latency quantiles are wall-clock measurements and differ between runs;
-	// everything else must match byte for byte.
-	base = normalizeLatencies(base)
-	for _, workers := range []string{"1", "2", "4"} {
-		got, stderr, code := runCLI(t, "-in", in, "-preset", "scholar", "-stats", "-intra-workers", workers)
-		if code != 0 {
-			t.Fatalf("-intra-workers %s: exit %d, stderr %q", workers, code, stderr)
-		}
-		if got = normalizeLatencies(got); got != base {
-			t.Errorf("-intra-workers %s output diverged:\n--- got ---\n%s--- want ---\n%s", workers, got, base)
-		}
-	}
-	if _, _, code := runCLI(t, "-in", in, "-preset", "scholar", "-intra-workers", "not-a-number"); code != 2 {
-		t.Fatalf("bad -intra-workers value: exit %d, want 2", code)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if _, stderr, code := runCLI(t); code != 2 || !strings.Contains(stderr, "-in is required") {
 		t.Fatalf("missing -in: code %d, stderr %q", code, stderr)
@@ -392,5 +365,9 @@ func TestRunErrors(t *testing.T) {
 	in := singleGroupFile(t, t.TempDir())
 	if _, stderr, code := runCLI(t, "-in", in, "-preset", "scholar", "-log"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -log") {
 		t.Fatalf("-log: code %d, stderr %q", code, stderr)
+	}
+	// There is no -intra-workers flag: one DIME+ run is one goroutine.
+	if _, stderr, code := runCLI(t, "-in", in, "-preset", "scholar", "-intra-workers", "2"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -intra-workers") {
+		t.Fatalf("-intra-workers: code %d, stderr %q", code, stderr)
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dime -in group.json [-preset scholar|amazon|dbgen] [-level N] [-basic] [-stats] [-why] [-intra-workers N]
+//	dime -in group.json [-preset scholar|amazon|dbgen] [-level N] [-basic] [-stats] [-why]
 //	dime -in group.json -pos "ov(Authors) >= 2" -pos "..." -neg "ov(Authors) = 0"
 //	dime -in group.json -rules rules.json [-ontology tree.json -tree Venue]
 //	dime -in labeled.json -preset scholar -learn rules.json
@@ -85,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		why        = fs.Bool("why", false, "print the witnessing rule and entity pair per flagged partition")
 		learn      = fs.String("learn", "", "learn a rule set from the group's ground truth and write it to this file")
 		profile    = fs.Bool("profile", false, "profile the group's attributes (coverage, token shape, separability) and exit")
-		intra      = fs.Int("intra-workers", 0, "worker goroutines within each DIME+ run (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		traceFile  = fs.String("trace", "", "write the flight-recorder dump of every run (the /debug/flight JSON format) to this file")
 		serveDebug = fs.String("serve-debug", "", "serve /debug/pprof/, /debug/flight and /metrics on this address (e.g. :6060)")
 		metricsOut = fs.String("metrics-out", "", "write the final metrics snapshot in Prometheus text format to this file")
@@ -154,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		preset: *preset, rulesFile: *rulesFile, ontoFile: *ontoFile,
 		treeAttrs: treeAttrs, pos: pos, neg: neg,
 		level: *level, basic: *basic, stats: *stats, why: *why,
-		learn: *learn, profile: *profile, intraWorkers: *intra,
+		learn: *learn, profile: *profile,
 		reg: reg,
 	})
 
@@ -191,7 +190,6 @@ type cliArgs struct {
 	basic, stats, why           bool
 	learn                       string
 	profile                     bool
-	intraWorkers                int
 	// reg is the Observer registry behind the run's probe (nil when no
 	// metrics sink was requested); -stats reads its phase-latency quantiles.
 	reg *obs.Registry
@@ -221,7 +219,7 @@ func runInput(stdout, stderr io.Writer, probe obs.Probe, groups []*entity.Group,
 		if err != nil {
 			return fail(err)
 		}
-		opts := dime.Options{Config: cfg, Rules: rs, Probe: probe, IntraWorkers: c.intraWorkers}
+		opts := dime.Options{Config: cfg, Rules: rs, Probe: probe}
 		if err := runCorpus(stdout, groups, opts, c.stats, c.reg); err != nil {
 			return fail(err)
 		}
@@ -247,7 +245,7 @@ func runInput(stdout, stderr io.Writer, probe obs.Probe, groups []*entity.Group,
 		return fail(err)
 	}
 
-	opts := dime.Options{Config: cfg, Rules: rs, Probe: probe, IntraWorkers: c.intraWorkers}
+	opts := dime.Options{Config: cfg, Rules: rs, Probe: probe}
 	var res *dime.Result
 	if c.basic {
 		res, err = dime.DiscoverBasic(&g, opts)

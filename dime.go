@@ -162,8 +162,8 @@ type (
 // Discover runs the signature-accelerated algorithm DIME+ on a group and
 // returns its partitions, pivot partition, and the monotone scrollbar of
 // discovered mis-categorized entities (one level per negative rule). It is
-// the recommended entry point. Options.IntraWorkers parallelizes the run
-// internally; every setting returns a byte-identical Result.
+// the recommended entry point. One run is one goroutine; DiscoverAll runs
+// many groups in parallel.
 func Discover(g *Group, opts Options) (*Result, error) {
 	return core.DIMEPlus(g, opts)
 }
@@ -177,9 +177,7 @@ func DiscoverBasic(g *Group, opts Options) (*Result, error) {
 
 // DiscoverAll runs Discover over many groups concurrently with a bounded
 // worker pool (workers ≤ 0 uses GOMAXPROCS), returning one result per group
-// in input order. Results are identical to sequential Discover calls. Unless
-// Options.IntraWorkers is set explicitly, GOMAXPROCS is divided between the
-// pool and each run's internal workers.
+// in input order. Results are identical to sequential Discover calls.
 func DiscoverAll(groups []*Group, opts Options, workers int) ([]*Result, error) {
 	return core.DiscoverAll(groups, opts, workers)
 }

@@ -27,11 +27,9 @@ func shuffledFigure1(t *testing.T, seed int64) (*dime.Group, dime.Options) {
 	return shuffled, opts
 }
 
-// discoverAt runs Discover with the given intra-group worker count and
-// returns the per-level discovered IDs.
-func discoverAt(t *testing.T, g *dime.Group, opts dime.Options, workers int) [][]string {
+// discoverLevels runs Discover and returns the per-level discovered IDs.
+func discoverLevels(t *testing.T, g *dime.Group, opts dime.Options) [][]string {
 	t.Helper()
-	opts.IntraWorkers = workers
 	res, err := dime.Discover(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +41,6 @@ func discoverAt(t *testing.T, g *dime.Group, opts dime.Options, workers int) [][
 	return levels
 }
 
-// intraWorkerSweep is the worker-count axis of the metamorphic tests: the
-// historical sequential path and a parallel path wide enough to shard every
-// phase even on a single-core machine.
-var intraWorkerSweep = []int{1, 4}
-
 // TestDiscoverMetamorphicAttributePermutation checks a similarity invariant:
 // ov (set overlap) ignores value order, so permuting each entity's Authors
 // list — the only attribute the Figure 1 rules compare set-wise with
@@ -56,7 +49,7 @@ var intraWorkerSweep = []int{1, 4}
 // tokenization, and Venue is a single value.
 func TestDiscoverMetamorphicAttributePermutation(t *testing.T) {
 	canonical, opts := buildFigure1(t)
-	want := discoverAt(t, canonical, opts, 1)
+	want := discoverLevels(t, canonical, opts)
 
 	authorsAt, ok := canonical.Schema.Index("Authors")
 	if !ok {
@@ -73,11 +66,8 @@ func TestDiscoverMetamorphicAttributePermutation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, workers := range intraWorkerSweep {
-			if got := discoverAt(t, permuted, opts, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d workers %d: permuted Authors changed levels: %v vs %v",
-					seed, workers, got, want)
-			}
+		if got := discoverLevels(t, permuted, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: permuted Authors changed levels: %v vs %v", seed, got, want)
 		}
 	}
 }
@@ -88,7 +78,7 @@ func TestDiscoverMetamorphicAttributePermutation(t *testing.T) {
 // adds exactly its own ID to every level the original appears in.
 func TestDiscoverMetamorphicDuplicateEntity(t *testing.T) {
 	canonical, opts := buildFigure1(t)
-	want := discoverAt(t, canonical, opts, 1)
+	want := discoverLevels(t, canonical, opts)
 
 	dup := func(srcID, dupID string) *dime.Group {
 		g := dime.NewGroup(canonical.Name, canonical.Schema)
@@ -121,15 +111,11 @@ func TestDiscoverMetamorphicDuplicateEntity(t *testing.T) {
 		wantMarked[li] = grown
 	}
 
-	for _, workers := range intraWorkerSweep {
-		if got := discoverAt(t, withPivotDup, opts, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers %d: duplicated pivot member changed levels: %v vs %v",
-				workers, got, want)
-		}
-		if got := discoverAt(t, withMarkedDup, opts, workers); !reflect.DeepEqual(got, wantMarked) {
-			t.Fatalf("workers %d: duplicated mis-categorized entity: %v, want %v",
-				workers, got, wantMarked)
-		}
+	if got := discoverLevels(t, withPivotDup, opts); !reflect.DeepEqual(got, want) {
+		t.Fatalf("duplicated pivot member changed levels: %v vs %v", got, want)
+	}
+	if got := discoverLevels(t, withMarkedDup, opts); !reflect.DeepEqual(got, wantMarked) {
+		t.Fatalf("duplicated mis-categorized entity: %v, want %v", got, wantMarked)
 	}
 }
 

@@ -2,7 +2,6 @@ package dime_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"dime/internal/difftest"
@@ -14,10 +13,10 @@ import (
 // TestDifferentialDIMEVariants), every discovery result served over the HTTP
 // API must be byte-identical — partitions, pivot, scrollbar levels,
 // witnesses and stats — to an in-process DIME+ run on the same group. Each
-// case gets one corpus per IntraWorkers setting (1, 2 and 4) with two keyed
-// submissions at that setting: the first computes DIME+, and the second, on
-// the unchanged corpus, must reuse that result. The client makes one attempt
-// per call, so a status the chaos suite's retries would absorb fails here.
+// case gets one corpus with two keyed submissions: the first computes DIME+,
+// and the second, on the unchanged corpus, must reuse that result. The client
+// makes one attempt per call, so a status the chaos suite's retries would
+// absorb fails here.
 // All cases share one httptest server, so the suite also exercises corpus
 // create/ingest/delete lifecycles back to back against a single long-lived
 // service. Failures log the case seed, so any divergence reproduces with
@@ -33,9 +32,7 @@ func TestDifferentialServeHTTP(t *testing.T) {
 	defer done()
 	for _, c := range difftest.Corpus(n, 0x5E12E) {
 		t.Run(c.Name, func(t *testing.T) {
-			for _, w := range []int{1, 2, 4} {
-				difftest.CheckServe(t, ctx, tgt, c, fmt.Sprintf("%s-w%d", c.Name, w), w, w)
-			}
+			difftest.CheckServe(t, ctx, tgt, c, c.Name)
 		})
 	}
 }

@@ -73,11 +73,10 @@ func fuzzSeedCorpus(f *testing.F) [][]byte {
 
 // FuzzDiffDIMEPlus feeds arbitrary bytes through the corpus decoder and, for
 // every decoded group small enough to brute-force, asserts the differential
-// invariant of internal/difftest: DIME, sequential DIME+ and parallel DIME+
-// (IntraWorkers=3) must agree — the two DIME+ runs byte-for-byte. Inputs the
-// pipeline legitimately rejects (undecodable corpora, unusable schemas,
-// groups the record compiler refuses) are skipped; only a divergence or a
-// panic fails.
+// invariant of internal/difftest: DIME and DIME+ must agree on partitions,
+// pivot, levels and marking rules. Inputs the pipeline legitimately rejects
+// (undecodable corpora, unusable schemas, groups the record compiler
+// refuses) are skipped; only a divergence or a panic fails.
 func FuzzDiffDIMEPlus(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus(f) {
 		f.Add(seed)
@@ -102,7 +101,7 @@ func FuzzDiffDIMEPlus(f *testing.F) {
 			if _, err := dime.DiscoverBasic(g, dime.Options{Config: cfg, Rules: rs}); err != nil {
 				continue
 			}
-			difftest.Check(t, difftest.Case{Name: "fuzz-" + g.Name, Group: g, Config: cfg, Rules: rs}, 3)
+			difftest.Check(t, difftest.Case{Name: "fuzz-" + g.Name, Group: g, Config: cfg, Rules: rs})
 		}
 	})
 }

@@ -14,6 +14,8 @@
 //     or the wall clock outside obs.Now).
 //   - 429 and 503 responses honor the server's Retry-After header (seconds
 //     form, capped by MaxRetryAfter) instead of the local backoff curve.
+//   - Backoff happens only between attempts: a call whose last attempt fails
+//     returns at once.
 //   - The retry policy is idempotency-aware: 429/503 are always retryable
 //     (the server refused before doing work), but transport errors,
 //     truncated bodies and other 5xx responses are retried only for requests
@@ -287,8 +289,14 @@ func (c *Client) do(ctx context.Context, method, path string, body any, idemKey 
 	idempotent := method == http.MethodGet || idemKey != ""
 
 	var lastErr error
+	retryAfter := time.Duration(-1) // the last failure's server pacing
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
+			// Back off between attempts only: after the last one the loop
+			// returns at once.
+			if err := c.backoff(ctx, attempt-1, retryAfter); err != nil {
+				return c.exhausted(method, path, lastErr, err)
+			}
 			c.retries.Add(1)
 		}
 		c.attempts.Add(1)
@@ -298,23 +306,17 @@ func (c *Client) do(ctx context.Context, method, path string, body any, idemKey 
 		if err := c.breaker.Allow(); err != nil {
 			// Fail fast locally, but inside the loop the trip is one more
 			// retryable condition: back off and re-probe.
-			lastErr = err
-			if serr := c.backoff(ctx, attempt, -1); serr != nil {
-				return c.exhausted(method, path, lastErr, serr)
-			}
+			lastErr, retryAfter = err, -1
 			continue
 		}
 		res := c.attempt(ctx, method, path, payload, idemKey, wantStatus, out)
 		if res.err == nil {
 			return nil
 		}
-		lastErr = res.err
+		lastErr, retryAfter = res.err, res.retryAfter
 		if !res.retryable || (res.needsIdem && !idempotent) {
 			c.failures.Add(1)
 			return fmt.Errorf("client: %s %s: %w", method, path, res.err)
-		}
-		if err := c.backoff(ctx, attempt, res.retryAfter); err != nil {
-			return c.exhausted(method, path, lastErr, err)
 		}
 	}
 	return c.exhausted(method, path, lastErr, nil)

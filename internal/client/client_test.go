@@ -383,11 +383,11 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Fatalf("ingest added %d, want %d", ing.Added, len(g.Entities))
 	}
 
-	job, err := c.Discover(ctx, "g", serve.DiscoverRequest{IntraWorkers: 2}, "e2e-key")
+	job, err := c.Discover(ctx, "g", serve.DiscoverRequest{}, "e2e-key")
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := c.Discover(ctx, "g", serve.DiscoverRequest{IntraWorkers: 2}, "e2e-key")
+	replay, err := c.Discover(ctx, "g", serve.DiscoverRequest{}, "e2e-key")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,5 +472,42 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 	if hits.Load() != 3 {
 		t.Fatalf("server hit %d times, want 3", hits.Load())
+	}
+}
+
+// TestNoBackoffAfterLastAttempt pins that an exhausted call returns as soon
+// as its last attempt fails: against a server that always answers 503 with
+// Retry-After: 1 (honored in full under the default MaxRetryAfter), one
+// attempt returns without sleeping and two attempts sleep once, while the
+// attempt and retry counters count every attempt and retry.
+func TestNoBackoffAfterLastAttempt(t *testing.T) {
+	h, _ := flakyHandler(99, http.StatusServiceUnavailable, "1", okJSON)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	for _, tc := range []struct {
+		attempts int
+		min, max time.Duration
+	}{
+		{1, 0, 500 * time.Millisecond},
+		{2, time.Second, 1900 * time.Millisecond},
+	} {
+		opts := fastOpts(nil)
+		opts.MaxAttempts = tc.attempts
+		c := New(ts.URL, opts)
+		start := time.Now()
+		_, err := c.ListCorpora(context.Background())
+		elapsed := time.Since(start)
+		if err == nil || !strings.Contains(err.Error(), "retries exhausted") {
+			t.Fatalf("MaxAttempts %d: error %v, want retries exhausted", tc.attempts, err)
+		}
+		if elapsed < tc.min || elapsed > tc.max {
+			t.Errorf("MaxAttempts %d: returned after %v, want within [%v, %v]", tc.attempts, elapsed, tc.min, tc.max)
+		}
+		if got := opts.Registry.Counter("dime.client.attempts").Value(); got != int64(tc.attempts) {
+			t.Errorf("MaxAttempts %d: %d attempts counted", tc.attempts, got)
+		}
+		if got := opts.Registry.Counter("dime.client.retries").Value(); got != int64(tc.attempts-1) {
+			t.Errorf("MaxAttempts %d: %d retries counted, want %d", tc.attempts, got, tc.attempts-1)
+		}
 	}
 }

@@ -29,7 +29,8 @@ func TestCandidateBufferAllocatedOnce(t *testing.T) {
 	})
 
 	var stats Stats
-	pver := newPosVerifier(&opts, recs, partition.New(len(recs)), &stats, 1)
+	pver := &posVerifier{opts: &opts, recs: recs, uf: partition.New(len(recs)), stats: &stats,
+		perRuleVerified: make([]int64, len(opts.Rules.Positive))}
 	perRule := make([]int64, len(indexes))
 	var cands []posCand
 	sorting := false

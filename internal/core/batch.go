@@ -36,6 +36,10 @@ type BatchStats struct {
 // per-group), so results are identical to sequential runs. workers ≤ 0 uses
 // GOMAXPROCS. On error the failure of the lowest-indexed failed group is
 // returned and the batch result is discarded.
+//
+// The pool's goroutines share opts: rules and ontology trees are read-only,
+// but a custom rules.NodeMapper must not mutate shared state while records
+// compile.
 func DiscoverAll(groups []*entity.Group, opts Options, workers int) ([]*Result, error) {
 	results, _, err := DiscoverAllStats(groups, opts, workers)
 	return results, err
@@ -49,11 +53,6 @@ func DiscoverAll(groups []*entity.Group, opts Options, workers int) ([]*Result, 
 // An empty corpus returns an empty (non-nil) result slice and a zero-valued
 // BatchStats — Workers stays 0 because no pool is spawned, and Wall stays 0
 // because no timing run starts.
-//
-// When opts.IntraWorkers is left at its default, the batch divides GOMAXPROCS
-// between the group-level pool and each group's intra-group workers so the
-// two layers of parallelism don't oversubscribe the machine; an explicit
-// IntraWorkers setting is passed through untouched.
 func DiscoverAllStats(groups []*entity.Group, opts Options, workers int) ([]*Result, BatchStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -64,11 +63,6 @@ func DiscoverAllStats(groups []*entity.Group, opts Options, workers int) ([]*Res
 	results := make([]*Result, len(groups))
 	if len(groups) == 0 {
 		return results, BatchStats{}, nil
-	}
-	if opts.IntraWorkers <= 0 {
-		if opts.IntraWorkers = runtime.GOMAXPROCS(0) / workers; opts.IntraWorkers < 1 {
-			opts.IntraWorkers = 1
-		}
 	}
 
 	start := obs.Now()

@@ -43,33 +43,17 @@ type Options struct {
 	// negative values both select the default of 32768; use a small
 	// positive limit (e.g. 1) to force streaming verification.
 	BenefitSortLimit int
-	// IntraWorkers bounds the worker goroutines DIME+ uses *within* one
-	// discovery run: positive-phase candidates are evaluated speculatively
-	// in parallel chunks and replayed in deterministic order, and
-	// independent non-pivot partitions are verified concurrently in the
-	// negative phase. 0 (the default) uses GOMAXPROCS; 1 forces the
-	// historical sequential path; values above GOMAXPROCS are honored so
-	// the parallel path can be exercised anywhere. Every setting produces
-	// byte-identical Results — partitions, pivot, levels, witnesses, and
-	// Stats — which the differential harness (internal/difftest) and the
-	// repository's race-enabled tests enforce.
-	//
-	// Concurrency contract: with IntraWorkers != 1, rule evaluation and
-	// signature probes run on multiple goroutines. All inputs are safe for
-	// that by construction — Records, Rules and ontology trees are
-	// immutable after compilation, and signature contexts/indexes are
-	// read-only after construction for every predicate of the rule set
-	// (see signature.NewContext) — but a non-nil Probe must be safe for
-	// concurrent use (all probes in internal/obs are), and custom
-	// rules.NodeMapper implementations must not mutate shared state during
-	// record compilation.
+	// IntraWorkers is ignored: one DIME+ run is one goroutine, and
+	// DiscoverAll's pool runs groups in parallel. The field stays only
+	// because the benchmark module (bench/) still sets it; the next change
+	// to that module drops those settings and then this field.
 	IntraWorkers int
 	// Probe receives phase spans (record compilation, signature build,
 	// candidate generation, positive verify, negative filter, negative
 	// verify) and work counters for observability. Nil — the default —
 	// disables instrumentation on a no-op fast path. A probe shared across
-	// goroutines (DiscoverAll, or any run with IntraWorkers != 1) must be
-	// safe for concurrent use; the probes in internal/obs all are.
+	// concurrent runs (DiscoverAll's pool, or a server's jobs) must be safe
+	// for concurrent use; the probes in internal/obs all are.
 	Probe obs.Probe
 }
 

@@ -55,11 +55,10 @@ func DIMEPlus(g *entity.Group, opts Options) (*Result, error) {
 	// but sorting millions of candidates would cost more than it saves.
 	uf := partition.New(n)
 	perRuleCands := make([]int64, len(opts.Rules.Positive))
-	// Verification runs through posVerifier: inline for one worker, chunked
-	// speculative evaluation + deterministic replay for several. Either way
-	// the skip/verify/union decisions happen in arrival order, so results
-	// and stats are identical for every worker count.
-	pver := newPosVerifier(&opts, recs, uf, &res.Stats, opts.intraWorkers(n))
+	pver := &posVerifier{
+		opts: &opts, recs: recs, uf: uf, stats: &res.Stats,
+		perRuleVerified: make([]int64, len(opts.Rules.Positive)),
+	}
 	sortLimit := opts.BenefitSortLimit
 	if sortLimit <= 0 {
 		sortLimit = 1 << 15
@@ -94,14 +93,12 @@ func DIMEPlus(g *entity.Group, opts Options) (*Result, error) {
 		for _, pc := range cands {
 			pver.add(pc)
 		}
-		pver.flush()
 	}
 	pv.Count("verified", res.Stats.PositiveVerified)
 	pv.Count("skipped-transitivity", res.Stats.PositiveSkippedByTransitivity)
 	for ri, rule := range opts.Rules.Positive {
 		pv.Count("verified/"+rule.Name, pver.perRuleVerified[ri])
 	}
-	pver.report(pv)
 	pv.End()
 	res.Partitions = uf.Sets()
 
@@ -109,6 +106,39 @@ func DIMEPlus(g *entity.Group, opts Options) (*Result, error) {
 	// with signature filtering (shared with Session.Result).
 	applyNegativeRules(res, run, ctx, recs, opts)
 	return res, nil
+}
+
+// posCand is one candidate pair under one positive rule, with the benefit
+// DIME+ sorts by (similarity probability over verification cost).
+type posCand struct {
+	i, j    int32
+	rule    int32
+	benefit float64
+}
+
+// posVerifier runs positive-phase verification, one candidate at a time in
+// the order collect or the benefit sort hands them over.
+type posVerifier struct {
+	opts  *Options
+	recs  []*rules.Record
+	uf    *partition.UnionFind
+	stats *Stats
+
+	perRuleVerified []int64
+}
+
+// add verifies one candidate: transitivity skip, stats, evaluate, union.
+func (v *posVerifier) add(c posCand) {
+	i, j, ri := int(c.i), int(c.j), int(c.rule)
+	if !v.opts.DisableTransitivitySkip && v.uf.Same(i, j) {
+		v.stats.PositiveSkippedByTransitivity++
+		return
+	}
+	v.stats.PositiveVerified++
+	v.perRuleVerified[ri]++
+	if v.opts.Rules.Positive[ri].Eval(v.recs[i], v.recs[j]) {
+		v.uf.Union(i, j)
+	}
 }
 
 // collect generates the candidates of every positive-rule index, counting
@@ -151,7 +181,7 @@ func (v *posVerifier) collect(indexes []*signature.PosIndex, sortLimit int, perR
 				i: int32(c.I), j: int32(c.J), rule: int32(ri), benefit: prob / cost,
 			})
 			if len(cands) > sortLimit {
-				// Too many to sort profitably: flush what we have in
+				// Too many to sort profitably: verify what we have in
 				// arrival order and fall back to streaming.
 				sorting = false
 				for _, pc := range cands {
@@ -160,11 +190,6 @@ func (v *posVerifier) collect(indexes []*signature.PosIndex, sortLimit int, perR
 				cands = nil
 			}
 		})
-	}
-	if !sorting {
-		// Streaming verification belongs to candidate generation; drain the
-		// verifier's last partial chunk before the span closes.
-		v.flush()
 	}
 	return cands, sorting
 }
@@ -181,9 +206,9 @@ func negKey(benefit float32, pos int) uint64 {
 // negPos is the pivot position a negKey carries.
 func negPos(k uint64) int { return int(uint32(k)) }
 
-// negScratch bundles the buffers plusMarkPartition reuses across partitions:
-// the signature-probe scratch and the candidate keys. One scratch per
-// goroutine; the zero value is ready to use.
+// negScratch bundles the buffers plusMarkPartition reuses across partitions
+// and rules: the signature-probe scratch and the candidate keys. One scratch
+// serves a whole run; the zero value is ready to use.
 type negScratch struct {
 	probe signature.ProbeScratch
 	keys  []uint64
@@ -196,15 +221,8 @@ type negScratch struct {
 // first — with early exit on the first satisfied pair. Processing entity by
 // entity keeps the memory footprint at O(|pivot|) and lets the common case
 // (a genuinely mis-categorized partition) resolve after a handful of
-// verifications.
-//
-// The function is a pure function of (partition, pivot, rule) that records
-// its work on stats — it reads only immutable records and the read-only
-// negative filter — so applyNegativeRules can run independent partitions on
-// concurrent workers and fold the per-partition stats back in partition
-// order, reproducing the sequential counters exactly. The scratch carries
-// probe and candidate buffers reused across partitions; each goroutine owns
-// its own.
+// verifications. The scratch carries the probe and candidate buffers reused
+// across partitions.
 func plusMarkPartition(stats *Stats, nf *signature.NegFilter, neg rules.Rule,
 	part, pivot []*rules.Record, opts Options, sc *negScratch) (Witness, bool) {
 

@@ -1,8 +1,8 @@
 // Package difftest generates randomized discovery workloads and checks that
-// every algorithm variant agrees on them: DIME (Algorithm 1) and DIME+
-// (Algorithm 2) must produce the same partitions, pivot and scrollbar levels,
-// and DIME+ must produce byte-identical results — stats and witnesses
-// included — for every Options.IntraWorkers setting.
+// the algorithms agree on them: DIME (Algorithm 1) and DIME+ (Algorithm 2)
+// must produce the same partitions, pivot, scrollbar levels and marking
+// rules, and DIME+ served over HTTP must produce byte-identical results —
+// stats and witnesses included — to DIME+ in process (DiffServe).
 //
 // The package is the differential harness behind dime_difftest_test.go and
 // FuzzDiffDIMEPlus at the repository root: tests build a Corpus of seeded
@@ -42,8 +42,7 @@ type Case struct {
 	Rules rules.RuleSet
 	// Probe, when non-nil, is attached to every run Diff performs, so the
 	// harness can prove instrumentation (e.g. the flight recorder) does not
-	// perturb results. Probes must be safe for the concurrent spans the
-	// parallel variants open.
+	// perturb results.
 	Probe obs.Probe
 }
 
@@ -145,48 +144,29 @@ type TB interface {
 
 // Check runs the case through Diff and fails the test with the case name and
 // seed on the first divergence, so any failure is reproducible offline.
-func Check(t TB, c Case, workers ...int) {
+func Check(t TB, c Case) {
 	t.Helper()
-	if err := c.Diff(workers...); err != nil {
+	if err := c.Diff(); err != nil {
 		t.Fatalf("case %s (seed %d): %v", c.Name, c.Seed, err)
 	}
 }
 
-// Diff runs DIME, sequential DIME+ (IntraWorkers=1), and one parallel DIME+
-// per workers entry over the case, and returns an error describing the first
-// divergence:
-//
-//   - DIME and DIME+ must agree semantically — partitions, pivot, every
-//     scrollbar level, and the marked partitions with their marking rules.
-//     Stats and witnessing pairs legitimately differ between the algorithms.
-//   - Sequential and parallel DIME+ must agree exactly — the whole Result,
-//     stats and witnesses included, must be deeply equal for every worker
-//     count.
-func (c Case) Diff(workers ...int) error {
-	base := core.Options{Config: c.Config, Rules: c.Rules, Probe: c.Probe}
-	want, err := core.DIME(c.Group, base)
+// Diff runs DIME and DIME+ over the case and returns an error describing the
+// first divergence. They must agree semantically — partitions, pivot, every
+// scrollbar level, and the marked partitions with their marking rules. Stats
+// and witnessing pairs legitimately differ between the algorithms.
+func (c Case) Diff() error {
+	opts := core.Options{Config: c.Config, Rules: c.Rules, Probe: c.Probe}
+	want, err := core.DIME(c.Group, opts)
 	if err != nil {
 		return fmt.Errorf("DIME: %w", err)
 	}
-	seqOpts := base
-	seqOpts.IntraWorkers = 1
-	seq, err := core.DIMEPlus(c.Group, seqOpts)
+	got, err := core.DIMEPlus(c.Group, opts)
 	if err != nil {
-		return fmt.Errorf("DIME+(sequential): %w", err)
+		return fmt.Errorf("DIME+: %w", err)
 	}
-	if err := semanticDiff(want, seq); err != nil {
-		return fmt.Errorf("DIME vs DIME+(sequential): %w", err)
-	}
-	for _, w := range workers {
-		parOpts := base
-		parOpts.IntraWorkers = w
-		par, err := core.DIMEPlus(c.Group, parOpts)
-		if err != nil {
-			return fmt.Errorf("DIME+(workers=%d): %w", w, err)
-		}
-		if err := exactDiff(seq, par); err != nil {
-			return fmt.Errorf("DIME+(sequential) vs DIME+(workers=%d): %w", w, err)
-		}
+	if err := semanticDiff(want, got); err != nil {
+		return fmt.Errorf("DIME vs DIME+: %w", err)
 	}
 	return nil
 }

@@ -3,7 +3,7 @@ package difftest
 // Served differential runner: a Case replayed end to end against a live
 // dimed-style server (internal/serve behind httptest), always through the
 // typed internal/client. Every result fetched back over HTTP must be
-// byte-identical to an in-process sequential DIME+ run on the same group —
+// byte-identical to an in-process DIME+ run on the same group —
 // partitions, pivot, levels, witnesses and Stats — which extends the
 // repository's determinism contract across the serialization and service
 // boundary. A Target runs the replay in one of two modes:
@@ -26,7 +26,6 @@ package difftest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -130,9 +129,9 @@ func NewTarget(opts serve.Options, chaos *ChaosOptions) (Target, func()) {
 // CheckServe runs the case through DiffServe on the named corpus under the
 // caller's context and fails the test with the case name and seed on the
 // first divergence.
-func CheckServe(t TB, ctx context.Context, tgt Target, c Case, corpus string, workers ...int) {
+func CheckServe(t TB, ctx context.Context, tgt Target, c Case, corpus string) {
 	t.Helper()
-	if err := c.DiffServe(ctx, tgt, corpus, workers...); err != nil {
+	if err := c.DiffServe(ctx, tgt, corpus); err != nil {
 		t.Fatalf("case %s (seed %d): %v", c.Name, c.Seed, err)
 	}
 }
@@ -141,34 +140,28 @@ func CheckServe(t TB, ctx context.Context, tgt Target, c Case, corpus string, wo
 // own, in order:
 //
 //  1. create the corpus under a profile of its own and ingest the group;
-//  2. per workers entry, submit a keyed discover, wait for the job and fetch
-//     its result, which must be exactly — stats and witnesses included —
-//     the in-process sequential DIME+ result;
+//  2. submit two keyed discovers, waiting for each job and fetching its
+//     result, which must be exactly — stats and witnesses included — the
+//     in-process DIME+ result;
 //  3. replay the first key, which must return the original job, and require
-//     the corpus to hold one job per submission, so no retried submission
-//     was duplicated;
+//     the corpus to hold two jobs, so no retried submission was duplicated;
 //  4. require from the server's job counters that the first submission
-//     computed DIME+ at workers[0] and the others, on the unchanged corpus,
-//     reused its result;
+//     computed DIME+ and the second, on the unchanged corpus, reused its
+//     result;
 //  5. check the deepest scrollbar level and every witness against the same
 //     reference;
 //  6. delete the corpus, so a long sweep holds one corpus at a time.
 //
 // Every request runs under ctx, so a test deadline or cancellation cuts the
 // replay short instead of letting retries grind on.
-func (c Case) DiffServe(ctx context.Context, tgt Target, corpus string, workers ...int) error {
-	if len(workers) == 0 {
-		return errors.New("DiffServe: no worker counts")
-	}
-	want, err := core.DIMEPlus(c.Group, core.Options{
-		Config: c.Config, Rules: c.Rules, IntraWorkers: 1, Probe: c.Probe,
-	})
+func (c Case) DiffServe(ctx context.Context, tgt Target, corpus string) error {
+	want, err := core.DIMEPlus(c.Group, core.Options{Config: c.Config, Rules: c.Rules, Probe: c.Probe})
 	if err != nil {
 		return fmt.Errorf("DIME+(in-process): %w", err)
 	}
 
-	// One profile per corpus: a case may run on several corpora, and
-	// RegisterProfile refuses a name it already holds.
+	// One profile per corpus: RegisterProfile refuses a name it already
+	// holds.
 	profile := "case-" + corpus
 	if err := tgt.Svc.RegisterProfile(profile, serve.Profile{Config: c.Config, Rules: c.Rules}); err != nil {
 		return err
@@ -191,39 +184,38 @@ func (c Case) DiffServe(ctx context.Context, tgt Target, corpus string, workers 
 	}
 
 	computed0, reused0 := jobCounts(tgt.ServerRegistry)
+	const submissions = 2
 	firstKey, firstJob := "", ""
-	for i, w := range workers {
-		// The submission index keeps keys distinct when a worker count
-		// repeats.
-		key := fmt.Sprintf("%s-%d-w%d", corpus, i, w)
-		job, err := tgt.Client.Discover(ctx, corpus, serve.DiscoverRequest{IntraWorkers: w}, key)
+	for i := 0; i < submissions; i++ {
+		key := fmt.Sprintf("%s-%d", corpus, i)
+		job, err := tgt.Client.Discover(ctx, corpus, serve.DiscoverRequest{}, key)
 		if err != nil {
-			return fmt.Errorf("workers=%d: discover: %w", w, err)
+			return fmt.Errorf("submission %d: discover: %w", i, err)
 		}
 		if i == 0 {
 			firstKey, firstJob = key, job.Job
 		}
 		status, err := tgt.Client.WaitJob(ctx, corpus, job.Job)
 		if err != nil {
-			return fmt.Errorf("workers=%d: wait: %w", w, err)
+			return fmt.Errorf("submission %d: wait: %w", i, err)
 		}
 		if status.State != serve.JobDone {
-			return fmt.Errorf("workers=%d: job %s finished %q (error %q)", w, job.Job, status.State, status.Error)
+			return fmt.Errorf("submission %d: job %s finished %q (error %q)", i, job.Job, status.State, status.Error)
 		}
 		wire, err := tgt.Client.JobResult(ctx, corpus, job.Job)
 		if err != nil {
-			return fmt.Errorf("workers=%d: results: %w", w, err)
+			return fmt.Errorf("submission %d: results: %w", i, err)
 		}
 		got, err := wire.Core(c.Group)
 		if err != nil {
 			return err
 		}
 		if err := exactDiff(want, got); err != nil {
-			return fmt.Errorf("workers=%d: in-process vs over-HTTP: %w", w, err)
+			return fmt.Errorf("submission %d: in-process vs over-HTTP: %w", i, err)
 		}
 	}
 
-	replay, err := tgt.Client.Discover(ctx, corpus, serve.DiscoverRequest{IntraWorkers: workers[0]}, firstKey)
+	replay, err := tgt.Client.Discover(ctx, corpus, serve.DiscoverRequest{}, firstKey)
 	if err != nil {
 		return fmt.Errorf("keyed replay: %w", err)
 	}
@@ -234,13 +226,13 @@ func (c Case) DiffServe(ctx context.Context, tgt Target, corpus string, workers 
 	if err != nil {
 		return fmt.Errorf("corpus info: %w", err)
 	}
-	if info.Jobs != len(workers) {
-		return fmt.Errorf("corpus ran %d jobs for %d submissions — retries duplicated work", info.Jobs, len(workers))
+	if info.Jobs != submissions {
+		return fmt.Errorf("corpus ran %d jobs for %d submissions — retries duplicated work", info.Jobs, submissions)
 	}
 	computed, reused := jobCounts(tgt.ServerRegistry)
-	if computed-computed0 != 1 || reused-reused0 != int64(len(workers)-1) {
-		return fmt.Errorf("server computed %d and reused %d jobs; want 1 computed at workers=%d, %d reused",
-			computed-computed0, reused-reused0, workers[0], len(workers)-1)
+	if computed-computed0 != 1 || reused-reused0 != submissions-1 {
+		return fmt.Errorf("server computed %d and reused %d jobs; want 1 computed, %d reused",
+			computed-computed0, reused-reused0, submissions-1)
 	}
 
 	if err := checkScrollbarAndWitnesses(ctx, tgt.Client, corpus, want); err != nil {

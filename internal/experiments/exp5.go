@@ -18,15 +18,16 @@ import (
 // sizes that preserve the comparison shape; with Full it runs the paper's
 // 500–3000 (Scholar) and 2000–10000 (Amazon).
 func Exp5(opts Options) ([]Table, error) {
+	if opts.Full {
+		return exp5(opts, []int{500, 1000, 1500, 2000, 2500, 3000}, []int{2000, 4000, 6000, 8000, 10000})
+	}
+	return exp5(opts, []int{200, 400, 600, 800, 1000}, []int{400, 800, 1200, 1600, 2000})
+}
+
+// exp5 runs Exp5's two runtime sweeps at the given nominal group sizes.
+func exp5(opts Options, scholarSizes, amazonSizes []int) ([]Table, error) {
 	opts.defaults()
 	var tables []Table
-
-	scholarSizes := []int{200, 400, 600, 800, 1000}
-	amazonSizes := []int{400, 800, 1200, 1600, 2000}
-	if opts.Full {
-		scholarSizes = []int{500, 1000, 1500, 2000, 2500, 3000}
-		amazonSizes = []int{2000, 4000, 6000, 8000, 10000}
-	}
 
 	// --- Figure 9(a): Scholar ---
 	sCfg := presets.ScholarConfig()

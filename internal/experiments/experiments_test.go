@@ -142,21 +142,27 @@ func TestExp4ErrorsConcentrateInSmallPartitions(t *testing.T) {
 	}
 }
 
+// TestExp5SmallSweepRuns runs Exp5's harness on two sizes per figure: the
+// sweep's sizes come only from Options.Full, so Exp5 itself would time every
+// method at the five quick sizes. cmd/experiments -exp 5 keeps those.
 func TestExp5SmallSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness; skipped in -short")
 	}
-	small := tinyOpts
-	tables, err := Exp5(small)
+	sizes := [][]int{{200, 400}, {400, 800}} // Scholar, then Amazon
+	tables, err := exp5(tinyOpts, sizes[0], sizes[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 2 {
 		t.Fatalf("tables = %d", len(tables))
 	}
-	for _, tb := range tables {
+	for i, tb := range tables {
 		if len(tb.Rows) == 0 {
 			t.Fatalf("%s has no rows", tb.ID)
+		}
+		if len(tb.Rows) != len(sizes[i]) {
+			t.Fatalf("%s has %d rows, want one per size %v", tb.ID, len(tb.Rows), sizes[i])
 		}
 		for _, row := range tb.Rows {
 			for _, c := range row[1:] {

@@ -73,13 +73,10 @@ type IngestResponse struct {
 	Rebuilds int `json:"rebuilds"`
 }
 
-// DiscoverRequest triggers an asynchronous discovery job.
-type DiscoverRequest struct {
-	// IntraWorkers bounds the worker goroutines within the DIME+ run
-	// (0 = GOMAXPROCS, 1 = sequential). Results are byte-identical at every
-	// setting.
-	IntraWorkers int `json:"intra_workers,omitempty"`
-}
+// DiscoverRequest triggers an asynchronous discovery job. It has no fields:
+// the body may be empty or {}, and a body that names any field is answered
+// 400.
+type DiscoverRequest struct{}
 
 // JobJSON is the status of a discovery job.
 type JobJSON struct {
@@ -89,8 +86,6 @@ type JobJSON struct {
 	Corpus string `json:"corpus"`
 	// State is one of "queued", "running", "done", "failed".
 	State string `json:"state"`
-	// IntraWorkers echoes the requested worker bound.
-	IntraWorkers int `json:"intra_workers"`
 	// Error describes the failure when State is "failed".
 	Error string `json:"error,omitempty"`
 }

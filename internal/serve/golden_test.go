@@ -13,7 +13,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"testing"
 )
@@ -116,8 +115,7 @@ func TestGoldenEndpoints(t *testing.T) {
 	golden(t, "discover (queued)", code, body, http.StatusAccepted, `{
   "job": "job-1",
   "corpus": "g",
-  "state": "queued",
-  "intra_workers": 0
+  "state": "queued"
 }
 `)
 
@@ -140,8 +138,7 @@ func TestGoldenEndpoints(t *testing.T) {
 	golden(t, "status (done)", code, body, http.StatusOK, `{
   "job": "job-1",
   "corpus": "g",
-  "state": "done",
-  "intra_workers": 0
+  "state": "done"
 }
 `)
 
@@ -254,40 +251,37 @@ func TestGoldenEndpoints(t *testing.T) {
 `)
 }
 
-// TestGoldenDiscoverEchoesIntraWorkers pins the request-body round trip: the
-// job echoes the requested worker bound, and the result is still served.
-func TestGoldenDiscoverEchoesIntraWorkers(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+// TestDiscoverRejectsIntraWorkers pins the discover body's contract: the
+// request has no fields, so a body naming the retired intra_workers is a 400
+// with an ErrorJSON body that creates no job, while an empty body or {} is
+// still accepted.
+func TestDiscoverRejectsIntraWorkers(t *testing.T) {
+	svc, ts := newTestServer(t, Options{Workers: 1})
 	mkCorpus(t, ts.URL, "g", "scholar")
 	if code, body, _ := doReq(t, http.MethodPost, ts.URL+"/v1/corpora/g/entities", ingestBody(t, scholarGroup())); code != http.StatusOK {
 		t.Fatalf("ingest: status %d: %s", code, body)
 	}
-	code, body, _ := doReq(t, http.MethodPost, ts.URL+"/v1/corpora/g/discover",
-		mustMarshal(t, DiscoverRequest{IntraWorkers: 4}))
-	if code != http.StatusAccepted {
-		t.Fatalf("discover: status %d: %s", code, body)
+	code, body, _ := doReq(t, http.MethodPost, ts.URL+"/v1/corpora/g/discover", []byte(`{"intra_workers":4}`))
+	if code != http.StatusBadRequest {
+		t.Fatalf("discover with intra_workers: status %d, want 400: %s", code, body)
 	}
-	var job JobJSON
-	if err := json.Unmarshal([]byte(body), &job); err != nil {
+	var e ErrorJSON
+	if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error == "" {
+		t.Fatalf("400 body %q is not an ErrorJSON (%v)", body, err)
+	}
+	info, err := svc.GetCorpus("g")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if job.IntraWorkers != 4 {
-		t.Fatalf("job echoed intra_workers %d, want 4", job.IntraWorkers)
+	if info.Jobs != 0 {
+		t.Fatalf("rejected discover created %d jobs, want 0", info.Jobs)
 	}
-	code, body, _ = doReq(t, http.MethodGet,
-		fmt.Sprintf("%s/v1/corpora/g/status/%s?wait=true", ts.URL, job.Job), nil)
-	if code != http.StatusOK {
-		t.Fatalf("status: %d: %s", code, body)
+	for _, b := range [][]byte{nil, []byte(`{}`)} {
+		if code, body, _ := doReq(t, http.MethodPost, ts.URL+"/v1/corpora/g/discover", b); code != http.StatusAccepted {
+			t.Fatalf("discover with body %q: status %d, want 202: %s", b, code, body)
+		}
 	}
-	var done JobJSON
-	if err := json.Unmarshal([]byte(body), &done); err != nil {
-		t.Fatal(err)
-	}
-	if done.State != JobDone || done.IntraWorkers != 4 {
-		t.Fatalf("status = %+v, want done with intra_workers 4", done)
-	}
-	code, _, _ = doReq(t, http.MethodGet, ts.URL+"/v1/corpora/g/results/"+job.Job, nil)
-	if code != http.StatusOK {
-		t.Fatalf("results: status %d", code)
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }

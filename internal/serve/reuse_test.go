@@ -136,7 +136,7 @@ func TestDiscoverReusesUnchangedCorpus(t *testing.T) {
 	prof := BuiltinProfiles()["scholar"]
 	g := entity.NewGroup("g", prof.Config.Schema)
 	g.Entities = full.Entities
-	ref, err := core.DIMEPlus(g, core.Options{Config: prof.Config, Rules: prof.Rules, IntraWorkers: 1})
+	ref, err := core.DIMEPlus(g, core.Options{Config: prof.Config, Rules: prof.Rules})
 	if err != nil {
 		t.Fatal(err)
 	}

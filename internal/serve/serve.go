@@ -16,12 +16,11 @@
 //
 // Every discovery result served over HTTP is core.DIMEPlus on a snapshot of
 // the corpus group, under the corpus profile's Config and Rules. Because
-// DIME+ is byte-identical at every IntraWorkers setting and depends only on
-// (group, config, rules), a result fetched over the API is exactly —
-// partitions, pivot, levels, witnesses and Stats — what an in-process
-// Discover/DiscoverAll call on the same entities produces. The served
-// replay in internal/difftest (DiffServe) enforces this byte-identity over
-// the seeded 210-group corpus at several worker counts, in the root's
+// DIME+ depends only on (group, config, rules), a result fetched over the
+// API is exactly — partitions, pivot, levels, witnesses and Stats — what an
+// in-process Discover/DiscoverAll call on the same entities produces. The
+// served replay in internal/difftest (DiffServe) enforces this byte-identity
+// over the seeded 210-group corpus, one corpus per case, in the root's
 // fault-free and chaos suites.
 //
 // Ingestion is incremental: each accepted entity folds into the corpus

@@ -89,8 +89,6 @@ type Job struct {
 	// ID is unique within the corpus ("job-1", "job-2", ... in submission
 	// order, so API output is deterministic).
 	ID string
-	// IntraWorkers is the requested worker bound for the run.
-	IntraWorkers int
 
 	mu     sync.Mutex
 	state  string
@@ -392,12 +390,9 @@ func (s *Service) Partitions(id string) (PartitionsJSON, error) {
 // key on this corpus returns that original job's current status instead of
 // enqueueing again. That lets a client retry a discover POST through
 // timeouts, resets and truncated responses without ever duplicating work.
-func (s *Service) StartDiscover(id string, req DiscoverRequest, idemKey string) (JobJSON, error) {
+func (s *Service) StartDiscover(id string, _ DiscoverRequest, idemKey string) (JobJSON, error) {
 	if s.Draining() {
 		return JobJSON{}, ErrDraining
-	}
-	if req.IntraWorkers < 0 {
-		return JobJSON{}, fmt.Errorf("%w: intra_workers must be >= 0", ErrBadRequest)
 	}
 	c, err := s.lookup(id)
 	if err != nil {
@@ -412,10 +407,9 @@ func (s *Service) StartDiscover(id string, req DiscoverRequest, idemKey string) 
 		}
 	}
 	job := &Job{
-		ID:           fmt.Sprintf("job-%d", c.jobSeq+1),
-		IntraWorkers: req.IntraWorkers,
-		state:        JobQueued,
-		done:         make(chan struct{}),
+		ID:    fmt.Sprintf("job-%d", c.jobSeq+1),
+		state: JobQueued,
+		done:  make(chan struct{}),
 	}
 	// Snapshot the entity window now, under the corpus lock, so the job is
 	// pinned to the corpus state at submission time: entities are immutable
@@ -426,12 +420,7 @@ func (s *Service) StartDiscover(id string, req DiscoverRequest, idemKey string) 
 		Schema:   c.group.Schema,
 		Entities: append([]*entity.Entity(nil), c.group.Entities...),
 	}
-	opts := core.Options{
-		Config:       c.prof.Config,
-		Rules:        c.prof.Rules,
-		IntraWorkers: req.IntraWorkers,
-		Probe:        s.probe,
-	}
+	opts := core.Options{Config: c.prof.Config, Rules: c.prof.Rules, Probe: s.probe}
 	hook := s.opts.BeforeJob
 	task := func() {
 		job.setRunning()
@@ -469,7 +458,7 @@ func (s *Service) discover(c *corpus, snapshot *entity.Group, opts core.Options)
 	// released, no path removes an entity, DeleteCorpus drops the whole
 	// corpus object, and a corpus's profile is fixed when it is created. So
 	// two snapshots of one corpus with equal counts hold the same entities,
-	// and DIME+ is byte-identical at every IntraWorkers.
+	// and DIME+ on the same entities is byte-identical.
 	c.mu.Lock()
 	last := c.last
 	c.mu.Unlock()
@@ -522,13 +511,7 @@ func (s *Service) retryAfterSeconds() int {
 // jobJSON renders a job status.
 func jobJSON(corpusID string, j *Job) JobJSON {
 	state, errMsg := j.Snapshot()
-	return JobJSON{
-		Job:          j.ID,
-		Corpus:       corpusID,
-		State:        state,
-		IntraWorkers: j.IntraWorkers,
-		Error:        errMsg,
-	}
+	return JobJSON{Job: j.ID, Corpus: corpusID, State: state, Error: errMsg}
 }
 
 // job returns a corpus job by ID.

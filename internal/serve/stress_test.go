@@ -96,7 +96,7 @@ func stressClient(t *testing.T, base string, i int) error {
 	var job JobJSON
 	for {
 		code, resp, _ := doReq(t, http.MethodPost, base+"/v1/corpora/"+id+"/discover",
-			mustMarshal(t, DiscoverRequest{IntraWorkers: 1 + i%3}))
+			mustMarshal(t, DiscoverRequest{}))
 		if code == http.StatusAccepted {
 			if err := json.Unmarshal([]byte(resp), &job); err != nil {
 				return fmt.Errorf("client %d: decode job: %v", i, err)
@@ -134,7 +134,7 @@ func stressClient(t *testing.T, base string, i int) error {
 		return err
 	}
 	cfg := presets.ScholarConfig()
-	want, err := core.DIMEPlus(ref, core.Options{Config: cfg, Rules: presets.ScholarRules(cfg), IntraWorkers: 1})
+	want, err := core.DIMEPlus(ref, core.Options{Config: cfg, Rules: presets.ScholarRules(cfg)})
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh runs the repository's performance snapshot: the end-to-end
-# BenchmarkDIMEPlus pair (nil probe vs flight recorder), the
-# BenchmarkDIMEPlusParallel pair (sequential vs intra-group workers — note
-# the parallel numbers are hardware-dependent and collapse to sequential on
-# one core), plus a one-shot smoke of two experiment benches, all with
-# -benchmem. The combined output is converted by cmd/benchjson into
+# BenchmarkDIMEPlus pair (nil probe vs flight recorder) plus a one-shot smoke
+# of two experiment benches, all with -benchmem. The combined output is converted by cmd/benchjson into
 # BENCH_core.json, the checked-in performance snapshot that lets perf
 # regressions show up in review, and appended as one timestamped JSON line
 # to BENCH_history.jsonl, the multi-run log `benchjson -trend` (and `make
@@ -60,8 +57,8 @@ if [[ "${BENCH_ALLOW_REGRESS:-0}" != "1" ]]; then
                  -max-overhead "${BENCH_MAX_OVERHEAD}")
 fi
 
-echo "== BenchmarkDIMEPlus + BenchmarkDIMEPlusParallel (-benchtime=${BENCHTIME})"
-go test -run='^$' -bench='^BenchmarkDIMEPlus(Parallel)?$' -benchmem -benchtime="${BENCHTIME}" . | tee "$tmp"
+echo "== BenchmarkDIMEPlus (-benchtime=${BENCHTIME})"
+go test -run='^$' -bench='^BenchmarkDIMEPlus$' -benchmem -benchtime="${BENCHTIME}" . | tee "$tmp"
 
 echo "== experiment smoke (-benchtime=1x)"
 go test -run='^$' -bench='^BenchmarkExp(1Fig6|4TableI)$' -benchmem -benchtime=1x . | tee -a "$tmp"

@@ -7,16 +7,17 @@
 # `make check`, which delegates here).
 #
 # The race-enabled suite includes the differential harness at the repo root
-# (dime_difftest_test.go), which runs DIME+ with IntraWorkers of 2 and 4 over
-# a couple hundred generated groups — that is the gate proving the parallel
-# path both data-race-free and byte-identical to the sequential one. It also
+# (dime_difftest_test.go), which runs DIME and DIME+ over a couple hundred
+# generated groups and demands the same partitions, pivot, levels and marking
+# rules, and the answer digest (dime_answers_test.go), which pins every DIME+
+# answer of those groups against testdata/answers.txt across commits. It also
 # includes the one served replay (difftest.DiffServe), which drives the same
 # corpus through the internal/serve HTTP API with internal/client and demands
 # byte-identity with the in-process results, in two suites: fault-free
-# (dime_serve_difftest_test.go: one corpus per case and IntraWorkers setting,
-# a client that makes one attempt per call) and under deterministic fault
-# injection with the retrying client (dime_chaos_difftest_test.go: one corpus
-# per case, deduplicated jobs, zero surfaced failures). `make serve-test`
+# (dime_serve_difftest_test.go: one corpus per case, a client that makes one
+# attempt per call) and under deterministic fault injection with the
+# retrying client (dime_chaos_difftest_test.go: one corpus per case,
+# deduplicated jobs, zero surfaced failures). `make serve-test`
 # runs both, plus the endpoint golden, backpressure, graceful-shutdown and
 # concurrent-clients stress tests and the fault and client unit tests.
 set -euo pipefail
